@@ -2,12 +2,13 @@
 //!
 //! Measures the `|||` parallel path this PR rearchitected: median
 //! wall-clock time per warm section on the persistent pooled backend vs.
-//! PR 1's fork-per-section baseline (retained as
-//! `culi_runtime::ForkPerSectionHook`) vs. the sequential reference, the
-//! flat-codec encode/decode cost, the pooled printer, and the
+//! the sequential reference, the flat-codec encode/decode cost, the
+//! pooled printer, and the
 //! high-water-bounded GC sweep (same row name as `BENCH_pr1.json` for a
 //! side-by-side read). Also records the whole-interpreter clone count of
 //! a 64-section warm pooled run — the PR's zero-clone acceptance number.
+//! The fork-per-section baseline this PR replaced has been deleted; its
+//! recorded speedup stays in the committed `BENCH_pr2.json`.
 //!
 //! ```text
 //! cargo run --release -p culi-bench --bin bench_pr2 [out.json]
@@ -17,7 +18,7 @@ use culi_bench::jsonout::{Json, ToJson};
 use culi_bench::workload;
 use culi_core::eval::SequentialHook;
 use culi_core::{Interp, InterpConfig};
-use culi_runtime::{ForkPerSectionHook, ThreadedHook};
+use culi_runtime::ThreadedHook;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -84,7 +85,7 @@ fn main() {
 
     // Warm pooled sections: persistent workers, incremental sync, flat
     // postbox job/result batches, collection after each command.
-    let pooled = {
+    {
         let mut i = session();
         let mut hook = ThreadedHook::new(8);
         i.eval_str_with(SECTION, &mut hook).unwrap(); // fork the pool
@@ -97,24 +98,7 @@ fn main() {
             median_ns: median,
             samples,
         });
-        median
-    };
-
-    // PR 1 baseline: whole-interpreter clone per worker chunk per section.
-    let forked = {
-        let mut i = session();
-        let mut hook = ForkPerSectionHook::new(8);
-        let median = measure(samples, || {
-            i.eval_str_with(SECTION, &mut hook).unwrap();
-            culi_core::gc::collect(&mut i, &[]);
-        });
-        rows.push(BenchRow {
-            name: "parallel_section/fork_per_section_8_workers",
-            median_ns: median,
-            samples,
-        });
-        median
-    };
+    }
 
     // Sequential reference for scale.
     {
@@ -197,7 +181,6 @@ fn main() {
         });
     }
 
-    let speedup = forked / pooled;
     let doc = Json::Obj(vec![
         ("baseline", Json::Str("pr2".to_string())),
         ("unit", Json::Str("nanoseconds (median)".to_string())),
@@ -205,7 +188,6 @@ fn main() {
             "section_workload",
             Json::Str("64 warm ||| sections x 8 workers (fib 4 jobs)".to_string()),
         ),
-        ("pooled_speedup_vs_fork_per_section", Json::Num(speedup)),
         (
             "warm_interp_clones_over_64_sections",
             Json::UInt(warm_clones),
@@ -220,7 +202,6 @@ fn main() {
     for r in &rows {
         println!("{:<48} {:>12.1} ns", r.name, r.median_ns);
     }
-    println!("pooled speedup vs fork-per-section: {speedup:.2}x");
     println!("warm interp clones over 64 sections: {warm_clones}");
     assert_eq!(warm_clones, 0, "warm pooled sections must not clone");
 }

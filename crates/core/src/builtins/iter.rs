@@ -3,7 +3,9 @@
 //! Both receive their bodies unevaluated and re-evaluate them per
 //! iteration; the loop variable is bound in a fresh child environment so
 //! it disappears after the loop (unlike the paper-style `let`, which binds
-//! into the current environment).
+//! into the current environment). Each iteration overwrites the variable's
+//! newest binding there instead of prepending a new one, so lookups
+//! through the loop environment cost the same on every iteration.
 
 use super::util::{as_list_children, expect_min, nil};
 use crate::error::{CuliError, Result};
@@ -63,7 +65,9 @@ pub fn dotimes(
     let loop_env = interp.envs.push(Some(env));
     for i in 0..count {
         let idx = interp.alloc(Node::int(i))?;
-        interp.envs.define(loop_env, var, idx, &interp.strings);
+        interp
+            .envs
+            .rebind_local(loop_env, var, idx, &interp.strings);
         for &body in &args[1..] {
             eval(interp, hook, body, loop_env, depth + 1)?;
         }
@@ -85,7 +89,9 @@ pub fn dolist(
     let items = as_list_children(interp, list_val, "dolist")?;
     let loop_env = interp.envs.push(Some(env));
     for item in items {
-        interp.envs.define(loop_env, var, item, &interp.strings);
+        interp
+            .envs
+            .rebind_local(loop_env, var, item, &interp.strings);
         for &body in &args[1..] {
             eval(interp, hook, body, loop_env, depth + 1)?;
         }
@@ -130,6 +136,27 @@ mod tests {
         let mut i = Interp::default();
         i.eval_str("(dotimes (k 3) k)").unwrap();
         assert_eq!(i.eval_str("k").unwrap(), "k", "k unbound after the loop");
+    }
+
+    #[test]
+    fn body_define_of_the_loop_name_sees_each_iteration() {
+        // The paper-style `let` binds `k` into the loop environment itself,
+        // shadowing the loop's binding; the next iteration overwrites that
+        // newest binding, so each iteration still reads its own index
+        // first and the body's value after its `let`.
+        let mut i = Interp::default();
+        i.eval_str("(setq seen nil)").unwrap();
+        i.eval_str(
+            "(dotimes (k 3) (setq seen (cons k seen)) (let k 99) (setq seen (cons k seen)))",
+        )
+        .unwrap();
+        assert_eq!(i.eval_str("seen").unwrap(), "(99 2 99 1 99 0)");
+        i.eval_str("(setq seen nil)").unwrap();
+        i.eval_str(
+            "(dolist (x (list 4 5)) (setq seen (cons x seen)) (let x 0) (setq seen (cons x seen)))",
+        )
+        .unwrap();
+        assert_eq!(i.eval_str("seen").unwrap(), "(0 5 0 4)");
     }
 
     #[test]

@@ -386,6 +386,35 @@ impl EnvArena {
         self.log_mutation(env, sym, value, SyncKind::Define);
     }
 
+    /// Overwrites the newest local binding of `sym` in `env` with `value`,
+    /// or [`define`](EnvArena::define)s it when `env` has none. Uncharged,
+    /// like `define`. Loop builtins rebind their variable through this
+    /// each iteration, so the loop environment does not grow with the
+    /// iteration count.
+    pub fn rebind_local(&mut self, env: EnvId, sym: StrId, value: NodeId, strings: &StrTable) {
+        let e = &self.envs[env.index()];
+        let newest = match &e.index {
+            Some(index) => index.map.get(&sym).map(|entry| entry.binding),
+            None => {
+                let mut cur = e.first;
+                while let Some(b) = cur {
+                    if self.bindings[b.index()].sym == sym {
+                        break;
+                    }
+                    cur = self.bindings[b.index()].next;
+                }
+                cur
+            }
+        };
+        match newest {
+            Some(b) => {
+                self.bindings[b.index()].value = value;
+                self.log_mutation(env, sym, value, SyncKind::Set);
+            }
+            None => self.define(env, sym, value, strings),
+        }
+    }
+
     /// Starts recording mutations of every environment that exists right
     /// now (the persistent set) into the sync log. Called once by
     /// [`crate::interp::Interp::new`] after the builtins are registered —

@@ -7,10 +7,11 @@
 //! [`culi_core::structhash::StructKey`] of the parsed trees (never on
 //! `NodeId`s, which differ on every re-parse):
 //!
-//! 1. **Verdict tier** — the [`crate::BatchClassifier`] outcome
-//!    (stageable or barrier) per command shape. The classifier resolves
-//!    head symbols against the live global environment, so the key also
-//!    carries a **classifier fingerprint**: a fold over the env
+//! 1. **Verdict tier** — the batch classifier's outcome (stageable or
+//!    barrier, from [`culi_core::effects::stageable_parallel_section`])
+//!    per command shape. The classifier resolves head symbols against
+//!    the live global environment, so the key also carries a
+//!    **classifier fingerprint**: a fold over the env
 //!    sync-epoch log's records (symbol bytes + structural hash of the
 //!    bound value). Two interpreters with the same mutation history —
 //!    e.g. tenants that ran the same prelude — produce the same
@@ -31,6 +32,23 @@
 //!    it). Epochs and environments are tenant-private, so this tier is
 //!    **strictly per-tenant**: [`CommandCache::tenant_view`] shares the
 //!    verdict/template stores but gives each tenant its own reply store.
+//!
+//! # One batch policy for every backend
+//!
+//! Both batch schedulers' classify steps ([`crate::CpuRepl`] and
+//! [`crate::GpuRepl`]) go through one crate-private policy, `BatchCache`,
+//! which owns the classifier fingerprint and the per-batch reply-tier
+//! store tickets. Per command it:
+//!
+//! 1. probes the reply tier on `(structural key, source text, epoch)`;
+//! 2. on a miss, classifies through the fingerprint-scoped verdict tier;
+//! 3. issues a store ticket when the command is pure;
+//! 4. stores the command's reply at the ticket's epoch, only if it is `Ok`.
+//!
+//! Tickets are dropped at the start of every batch. Without a cache the
+//! policy just classifies. Parsing stays with the caller: the CPU session
+//! parses metered (it executes the parsed forms), the GPU session parses
+//! an unmetered look-ahead copy (the device re-parses on upload).
 //!
 //! # Charge-exactness guarantee
 //!
@@ -63,6 +81,7 @@
 use crate::reply::Reply;
 use culi_core::postbox::{FlatTree, TreeTemplate};
 use culi_core::structhash::StructKey;
+use culi_core::{ErrorCode, Interp, NodeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -305,13 +324,13 @@ impl<V> Store<V> {
 
 /// A reply-tier store decision deferred from classify time (where the
 /// key, source text and epoch are in hand) to reply time (where success
-/// is known). Repls keep these per batch slot and consume them only for
-/// `Ok` replies.
+/// is known). [`BatchCache`] keeps these per batch slot and consumes them
+/// only for `Ok` replies.
 #[derive(Debug)]
-pub(crate) struct ReplyTicket {
-    pub(crate) key: StructKey,
-    pub(crate) text: String,
-    pub(crate) epoch: u64,
+struct ReplyTicket {
+    key: StructKey,
+    text: String,
+    epoch: u64,
 }
 
 /// Lazily folds the env sync log into the verdict tier's classifier
@@ -322,7 +341,7 @@ pub(crate) struct ReplyTicket {
 /// [`CommandCache::tenant_view`] hit across tenants); any divergence —
 /// including the same symbol bound to a different value — changes it.
 #[derive(Debug)]
-pub(crate) struct FingerprintTracker {
+struct FingerprintTracker {
     /// Sync epoch up to which the log has been folded.
     epoch: u64,
     /// Running fold over the records below `epoch`.
@@ -336,7 +355,7 @@ pub(crate) struct FingerprintTracker {
 impl FingerprintTracker {
     const SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             epoch: 0,
             hash: Self::SEED,
@@ -351,15 +370,10 @@ impl FingerprintTracker {
     }
 
     /// The fingerprint for the interpreter's current environment state,
-    /// folding any sync records logged since the last call.
-    /// `classifier_tag` discriminates classifier flavours whose verdicts
-    /// must not share entries. `None` once poisoned (callers fall back
-    /// to uncached classification, which is always sound).
-    pub(crate) fn fingerprint(
-        &mut self,
-        interp: &culi_core::Interp,
-        classifier_tag: u8,
-    ) -> Option<u64> {
+    /// folding any sync records logged since the last call. `None` once
+    /// poisoned (callers fall back to uncached classification, which is
+    /// always sound).
+    fn fingerprint(&mut self, interp: &Interp) -> Option<u64> {
         if self.poisoned {
             return None;
         }
@@ -383,7 +397,140 @@ impl FingerprintTracker {
             self.hash = h;
         }
         self.epoch = interp.envs.sync_epoch();
-        Some(Self::fold(self.hash, &[classifier_tag]))
+        Some(self.hash)
+    }
+}
+
+/// What [`BatchCache::classify`] decided for one batch command.
+#[derive(Debug)]
+pub(crate) enum Classified {
+    /// Reply-tier hit: the recorded reply, bit-identical to what this
+    /// command would produce. The caller refreshes wall-clock time and
+    /// collects the probe's parse garbage.
+    Hit(Box<Reply>),
+    /// Not served from cache; `true` when the command may be staged.
+    Stageable(bool),
+}
+
+/// The batch cache policy both repls run inside their scheduler's
+/// classify step (see the module docs): reply-tier probe, verdict-tier
+/// classification and `Ok`-only reply stores. It owns the session's
+/// classifier fingerprint and the current batch's store tickets; the
+/// cache itself stays in the repl's config and is passed in, with `None`
+/// meaning "just classify".
+#[derive(Debug)]
+pub(crate) struct BatchCache {
+    /// Incremental classifier-environment fingerprint (verdict-tier key
+    /// dimension).
+    fingerprint: FingerprintTracker,
+    /// Store tickets of this batch's classified-pure cache misses, keyed
+    /// by batch slot.
+    tickets: HashMap<usize, ReplyTicket>,
+}
+
+impl BatchCache {
+    pub(crate) fn new() -> Self {
+        Self {
+            fingerprint: FingerprintTracker::new(),
+            tickets: HashMap::new(),
+        }
+    }
+
+    /// Drops the previous batch's tickets: slot numbers are only
+    /// meaningful within one batch.
+    pub(crate) fn begin_batch(&mut self) {
+        self.tickets.clear();
+    }
+
+    /// Classifies the parsed `forms` of batch command `slot` (source
+    /// text `input`): stageable when it is a single `|||` form with pure
+    /// operands. Charge-free. With a cache, a reply-tier hit short-cuts
+    /// classification, and a pure miss earns a store ticket for
+    /// [`BatchCache::store`].
+    ///
+    /// The epoch read here is exactly the environment state the command
+    /// executes against: the scheduler runs every earlier barrier before
+    /// classifying the next command, and every in-flight staged command
+    /// is pure.
+    pub(crate) fn classify(
+        &mut self,
+        cache: Option<&CommandCache>,
+        interp: &Interp,
+        forms: &[NodeId],
+        input: &str,
+        slot: usize,
+    ) -> Classified {
+        let global = interp.global;
+        let stageable_section =
+            |form| culi_core::effects::stageable_parallel_section(interp, global, form);
+        let Some(cache) = cache else {
+            return Classified::Stageable(forms.len() == 1 && stageable_section(forms[0]));
+        };
+        let key = StructKey::of_forms(interp, forms);
+        let epoch = interp.envs.sync_epoch();
+        if let Some(reply) = cache.reply_lookup(&key, input, epoch) {
+            return Classified::Hit(Box::new(reply));
+        }
+        let stageable = forms.len() == 1
+            && match self.fingerprint.fingerprint(interp) {
+                Some(fp) => {
+                    // Slice the single-form key out of the command key
+                    // instead of re-walking the tree.
+                    let form_key = key
+                        .single_form()
+                        .unwrap_or_else(|| StructKey::of(interp, forms[0]));
+                    match cache.verdict_lookup(&form_key, fp) {
+                        Some(v) => v,
+                        None => {
+                            let v = stageable_section(forms[0]);
+                            cache.verdict_insert(form_key, fp, v);
+                            v
+                        }
+                    }
+                }
+                None => stageable_section(forms[0]),
+            };
+        // Purity is what makes replay sound: the reply then depends only
+        // on the tree and the (epoch-stamped) environment.
+        let pure = stageable
+            || forms
+                .iter()
+                .all(|&f| culi_core::effects::expr_is_pure(interp, global, f));
+        if pure {
+            self.tickets.insert(
+                slot,
+                ReplyTicket {
+                    key,
+                    text: input.to_string(),
+                    epoch,
+                },
+            );
+        }
+        Classified::Stageable(stageable)
+    }
+
+    /// Consumes `slot`'s store ticket if its command produced the `Ok`
+    /// reply the ticket anticipated. Error and degraded replies drop
+    /// through (their tickets die with the batch), so a stored reply is
+    /// always an `Ok` produced by the real execution path at the ticket's
+    /// epoch.
+    pub(crate) fn store(
+        &mut self,
+        cache: Option<&CommandCache>,
+        interp: &Interp,
+        slot: usize,
+        reply: &Reply,
+    ) {
+        if !reply.ok || reply.code != ErrorCode::Ok {
+            return;
+        }
+        let (Some(cache), Some(t)) = (cache, self.tickets.remove(&slot)) else {
+            return;
+        };
+        // Pure commands cannot move the epoch, and nothing impure can have
+        // run between classify and reply (barriers drain first).
+        debug_assert_eq!(interp.envs.sync_epoch(), t.epoch);
+        cache.reply_insert(t.key, &t.text, t.epoch, reply.clone());
     }
 }
 

@@ -1,6 +1,6 @@
 //! The CPU read–eval–print loops (the paper's comparison systems).
 //!
-//! Three backends share one type:
+//! Two backends share one type:
 //!
 //! * **Modeled** — the same staged pipeline as the GPU session, but timed
 //!   by a [`CpuMachine`] (list-scheduled pthread workers, no warps, no
@@ -14,9 +14,6 @@
 //!   hardware and reports wall-clock time. [`CpuRepl::submit_batch`]
 //!   additionally *pipelines* a command stream through the pool's
 //!   double-buffered postboxes (see below).
-//! * **ForkPerSection** — PR 1's clone-the-interpreter baseline
-//!   ([`ForkPerSectionHook`]), retained for benchmarks and as a semantic
-//!   reference in the cross-backend differential harness.
 //!
 //! # Pipelined command batches
 //!
@@ -25,48 +22,38 @@
 //! caller hands over a whole command *stream*, most of that latency can
 //! be overlapped: [`CpuRepl::submit_batch`] routes the stream through the
 //! shared [`crate::scheduler::BatchScheduler`], with this type
-//! implementing the [`ExecQueue`] staging hooks. A command is stageable
-//! when it is a top-level `(||| …)` whose operands are all provably
-//! **pure** under the conservative effect analysis in
-//! [`culi_core::effects`] — literals, symbol reads, and known-pure-builtin
-//! trees such as `(list g g)`, computed worker counts, or conditionals
-//! over globals; the section is prepared into the pool's double buffers
-//! and the scheduler moves straight on to parsing and staging the next
-//! command, collecting replies in order as the pipeline fills. Any other
-//! command — defines, `setq`s, operands invoking user forms or I/O,
-//! parse errors — acts as a barrier: the scheduler drains the pipeline,
-//! then the command runs through the ordinary synchronous path. Staging a
-//! pure-operand section early is invisible because nothing in flight can
-//! mutate the state its operands read. Observable behaviour (replies,
-//! error text, per-command [`CommandCounters`]) is identical to a
-//! `submit` loop; the equivalence is property-tested and the staging path
-//! reuses [`culi_core::builtins::prepare_section`] plus a charge-exact
-//! mirror of the evaluator's dispatch so the meter cannot drift (the
-//! classifier itself is charge-free). PR 3's purely syntactic
-//! inert-operand rule is retained as [`BatchClassifier::SyntacticInert`]
-//! for benchmarks (`bench_pr4` measures the breadth win against it).
-//!
-//! The fork-per-section baseline implements the same queue: its
-//! `dispatch` simply executes each staged section through
-//! [`ForkPerSectionHook`] on the spot (pipeline depth 1 — there is no
-//! worker state to overlap with), which keeps the baseline's batched
-//! replies charge-identical to its `submit` loop while sharing every line
-//! of classify/stage/drain logic with the pooled backend.
+//! implementing the [`ExecQueue`] staging hooks. One rule decides what
+//! stages: a command is stageable when it is a top-level `(||| …)` whose
+//! operands are all provably **pure** under the conservative effect
+//! analysis in [`culi_core::effects`] — literals, symbol reads, and
+//! known-pure-builtin trees such as `(list g g)`, computed worker counts,
+//! or conditionals over globals. The section is prepared into the pool's
+//! double buffers and the scheduler moves straight on to parsing and
+//! staging the next command, collecting replies in order as the pipeline
+//! fills. Any other command — defines, `setq`s, operands invoking user
+//! forms or I/O, parse errors — acts as a barrier: the scheduler drains
+//! the pipeline, then the command runs through the ordinary synchronous
+//! path. Staging a pure-operand section early is invisible because
+//! nothing in flight can mutate the state its operands read. Observable
+//! behaviour (replies, error text, per-command [`CommandCounters`]) is
+//! identical to a `submit` loop; the equivalence is property-tested and
+//! the staging path reuses [`culi_core::builtins::prepare_section`] plus a
+//! charge-exact mirror of the evaluator's dispatch so the meter cannot
+//! drift (the classifier itself is charge-free). The optional command
+//! cache rides the same classification step, through the batch cache
+//! policy in [`crate::cache`] that the GPU session shares.
 
-use crate::cache::{CommandCache, FingerprintTracker, ReplyTicket};
+use crate::cache::{BatchCache, Classified, CommandCache};
 use crate::error::{Result, RuntimeError};
 use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
-use crate::pool::{ForkPerSectionHook, ThreadedHook, WorkerPool};
+use crate::pool::{ThreadedHook, WorkerPool};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
 use culi_core::cost::Counters;
 use culi_core::eval::{eval, ParallelHook};
 use culi_core::fault::FaultPlan;
-use culi_core::node::{NodeType, Payload};
-use culi_core::structhash::StructKey;
 use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
 use culi_gpu_sim::{CpuMachine, DeviceSpec, SectionReport, SimError};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// How `|||` sections execute.
@@ -74,32 +61,12 @@ use std::time::Duration;
 pub enum CpuMode {
     /// Deterministic cost-model timing (figures).
     Modeled,
-    /// Real scoped OS threads (functional parallelism; wall-clock timing).
+    /// Real OS threads in a persistent worker pool (functional
+    /// parallelism; wall-clock timing).
     Threaded {
         /// Worker thread count.
         threads: usize,
     },
-    /// PR 1's whole-interpreter-clone-per-section baseline.
-    ForkPerSection {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
-/// How [`CpuRepl::submit_batch`] decides whether a command's `|||`
-/// section may be staged into the pipeline or must barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchClassifier {
-    /// Conservative side-effect analysis over the parse tree
-    /// ([`culi_core::effects`]): operands may be arbitrary trees of
-    /// known-pure builtins, so `(||| n f (list …))` and computed worker
-    /// counts pipeline too.
-    #[default]
-    EffectAnalysis,
-    /// PR 3's syntactic rule — only atoms, symbols and literal lists are
-    /// stageable operands; any nested expression barriers. Retained as
-    /// the benchmark baseline (`bench_pr4`).
-    SyntacticInert,
 }
 
 /// Configuration for a CPU session.
@@ -109,12 +76,8 @@ pub struct CpuReplConfig {
     pub interp: InterpConfig,
     /// Execution mode.
     pub mode: CpuMode,
-    /// Run the collector between commands.
-    pub gc_between_commands: bool,
     /// Host-side file services exposed to device code.
     pub host_io: Option<culi_core::hostio::HostIoHandle>,
-    /// Batch staging rule (see [`BatchClassifier`]).
-    pub batch_classifier: BatchClassifier,
     /// Worker-pool watchdog: how long one reply take may block before
     /// the seat is declared hung and detached (Threaded mode).
     pub reply_deadline: Duration,
@@ -134,9 +97,7 @@ impl Default for CpuReplConfig {
         Self {
             interp: InterpConfig::default(),
             mode: CpuMode::Modeled,
-            gc_between_commands: true,
             host_io: None,
-            batch_classifier: BatchClassifier::default(),
             reply_deadline: WorkerPool::DEFAULT_REPLY_DEADLINE,
             fault_plan: FaultPlan::none(),
             cache: None,
@@ -153,13 +114,10 @@ pub struct CpuRepl {
     /// Persistent real-threads backend (Threaded mode only; the worker
     /// pool inside survives across commands).
     threaded: Option<ThreadedHook>,
-    /// Persistent fork-per-section baseline backend.
-    forked: Option<ForkPerSectionHook>,
     /// Reused per-job cycle scratch for the modeled backend.
     scratch_cycles: Vec<u64>,
-    /// Staged-but-undispatched job trees (and, fork mode, executed-but-
-    /// uncollected section results): kept as GC roots while in-flight
-    /// sections of *earlier* commands are collected (their
+    /// Staged-but-undispatched job trees: kept as GC roots while
+    /// in-flight sections of *earlier* commands are collected (their
     /// between-command GC must not sweep them).
     batch_roots: Vec<NodeId>,
     /// A drained barrier command's parsed forms, rooted from
@@ -170,27 +128,8 @@ pub struct CpuRepl {
     /// Reply slots written off by an infrastructure failure, awaiting
     /// the scheduler's sequential fallback ([`ExecQueue::take_failed`]).
     degraded_slots: Vec<usize>,
-    /// Incremental classifier-environment fingerprint (verdict-tier key
-    /// dimension; see [`crate::cache`] module docs).
-    fingerprint: FingerprintTracker,
-    /// Reply-tier store tickets recorded at classify time for cache
-    /// misses of classified-pure commands, keyed by batch slot and
-    /// consumed when the slot's `Ok` reply is produced.
-    pending_store: HashMap<usize, ReplyTicket>,
-}
-
-impl BatchClassifier {
-    /// Fingerprint discriminant: the two classifiers disagree on some
-    /// shapes, so their cached verdicts must not share entries. (The GPU
-    /// repl classifies with the same effect analysis and shares the
-    /// `EffectAnalysis` tag — a verdict is a property of the rule and
-    /// the environment, not of the backend.)
-    pub(crate) fn fingerprint_tag(self) -> u8 {
-        match self {
-            BatchClassifier::EffectAnalysis => 0xEA,
-            BatchClassifier::SyntacticInert => 0x51,
-        }
-    }
+    /// Batch classification and the command cache's per-batch state.
+    batch_cache: BatchCache,
 }
 
 /// A pipelined command whose section is staged but not yet collected.
@@ -217,14 +156,12 @@ impl CpuRepl {
             machine: CpuMachine::launch(spec),
             config,
             threaded: None,
-            forked: None,
             scratch_cycles: Vec::new(),
             batch_roots: Vec::new(),
             barrier_roots: Vec::new(),
             gc_scratch: Vec::new(),
             degraded_slots: Vec::new(),
-            fingerprint: FingerprintTracker::new(),
-            pending_store: HashMap::new(),
+            batch_cache: BatchCache::new(),
         }
     }
 
@@ -255,15 +192,13 @@ impl CpuRepl {
         self.submit_inner(input, true)
     }
 
-    /// Drops the session's warm parallel backends (worker pool and
-    /// retained fork arena), returning the dispatch-buffer bytes that
-    /// were retained. The next pooled submit transparently re-forks via
-    /// [`ThreadedHook::pool_mut`] — eviction is invisible to the tenant
-    /// beyond re-warm latency. No-op (returns 0) while cold.
+    /// Drops the session's warm worker pool, returning the dispatch-buffer
+    /// bytes that were retained. The next pooled submit transparently
+    /// re-forks via [`ThreadedHook::pool_mut`] — eviction is invisible to
+    /// the tenant beyond re-warm latency. No-op (returns 0) while cold.
     pub fn release_warm_forks(&mut self) -> usize {
         let freed = self.retained_warm_bytes();
         self.threaded = None;
-        self.forked = None;
         freed
     }
 
@@ -278,7 +213,7 @@ impl CpuRepl {
 
     /// `true` while the session holds a warm (forked) parallel backend.
     pub fn has_warm_forks(&self) -> bool {
-        self.threaded.as_ref().is_some_and(ThreadedHook::is_warm) || self.forked.is_some()
+        self.threaded.as_ref().is_some_and(ThreadedHook::is_warm)
     }
 
     /// [`CpuRepl::submit`] body. With `reference` set, evaluation is
@@ -335,7 +270,7 @@ impl CpuRepl {
         // the master interpreter (and must therefore be subtracted back out
         // of its total): everything for the modeled backend and the
         // sequential reference, only degraded-section fallbacks for the
-        // real-threads pool, nothing for fork-per-section.
+        // real-threads pool.
         let (last, sections, job_counters, master_jobs, eval_error, sim_error) = if reference {
             let mut hook = SequentialReferenceHook::default();
             let (last, err) = eval_forms(&mut self.interp, &mut hook, forms);
@@ -356,15 +291,11 @@ impl CpuRepl {
                     let jobs = hook.job_counters;
                     (last, hook.sections, jobs, jobs, err, hook.sim_error)
                 }
-                CpuMode::Threaded { threads } => {
+                CpuMode::Threaded { .. } => {
                     // The hook (and its worker pool) persists across
                     // commands: workers stay warm and are synchronized
                     // incrementally.
-                    let deadline = self.config.reply_deadline;
-                    let plan = self.config.fault_plan.clone();
-                    let hook = self.threaded.get_or_insert_with(|| {
-                        ThreadedHook::with_watchdog(threads, deadline, plan)
-                    });
+                    let hook = threaded_hook(&mut self.threaded, &self.config);
                     let (last, err) = eval_forms(&mut self.interp, hook, forms);
                     // Sections the hook degraded to the master (seat loss
                     // mid-barrier) were metered on the master interpreter;
@@ -373,14 +304,6 @@ impl CpuRepl {
                     let mut jobs = hook.take_job_counters();
                     jobs.add(&degraded);
                     (last, Vec::new(), jobs, degraded, err, None)
-                }
-                CpuMode::ForkPerSection { threads } => {
-                    let hook = self
-                        .forked
-                        .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                    let (last, err) = eval_forms(&mut self.interp, hook, forms);
-                    let jobs = hook.take_job_counters();
-                    (last, Vec::new(), jobs, Counters::default(), err, None)
                 }
             }
         };
@@ -429,7 +352,7 @@ impl CpuRepl {
         self.machine
             .serial_compute(counters_to_cycles(&costs, &print_counters))?;
 
-        self.gc_between_commands();
+        self.collect_garbage();
         let spec = self.spec();
         let phases = breakdown(
             &spec,
@@ -459,10 +382,8 @@ impl CpuRepl {
     /// [`BatchScheduler`], pipelining consecutive stageable `|||`
     /// commands (Threaded mode: coalesced multi-section postbox
     /// dispatches with up to [`WorkerPool::PIPELINE_DEPTH`] runs in
-    /// flight; ForkPerSection mode: the same staging/drain machine over
-    /// eagerly-executed sections; Modeled mode falls back to a `submit`
-    /// loop). Replies come back in input order and match a `submit` loop
-    /// exactly.
+    /// flight; Modeled mode falls back to a `submit` loop). Replies come
+    /// back in input order and match a `submit` loop exactly.
     pub fn submit_batch(&mut self, inputs: &[&str]) -> Result<Vec<Reply>> {
         if matches!(self.config.mode, CpuMode::Modeled) {
             return inputs.iter().map(|s| self.submit(s)).collect();
@@ -474,73 +395,8 @@ impl CpuRepl {
         // hard (machine/device) error.
         self.batch_roots.clear();
         self.barrier_roots.clear();
-        // Store tickets never outlive their batch (slot numbers are only
-        // meaningful within one).
-        self.pending_store.clear();
+        self.batch_cache.begin_batch();
         BatchScheduler::submit_batch(self, inputs)
-    }
-
-    /// The batch classifier's verdict for a single-form command, served
-    /// from the cache's verdict tier when possible. The classifier reads
-    /// the live global environment, so cached verdicts are scoped by the
-    /// [`FingerprintTracker`] fingerprint; a poisoned tracker falls back
-    /// to classifying directly (always sound — the tier only skips a
-    /// charge-free walk).
-    fn classify_stageable(
-        &mut self,
-        cache: Option<&CommandCache>,
-        command_key: Option<&StructKey>,
-        form: NodeId,
-    ) -> bool {
-        fn classify(interp: &Interp, classifier: BatchClassifier, form: NodeId) -> bool {
-            match classifier {
-                BatchClassifier::EffectAnalysis => {
-                    culi_core::effects::stageable_parallel_section(interp, interp.global, form)
-                }
-                BatchClassifier::SyntacticInert => stageable_inert_section(interp, form),
-            }
-        }
-        let classifier = self.config.batch_classifier;
-        let Some(cache) = cache else {
-            return classify(&self.interp, classifier, form);
-        };
-        let Some(fp) = self
-            .fingerprint
-            .fingerprint(&self.interp, classifier.fingerprint_tag())
-        else {
-            return classify(&self.interp, classifier, form);
-        };
-        // The reply-tier probe already encoded the whole command; a
-        // single-form key slices out of it instead of re-walking the tree.
-        let key = command_key
-            .and_then(StructKey::single_form)
-            .unwrap_or_else(|| StructKey::of(&self.interp, form));
-        if let Some(v) = cache.verdict_lookup(&key, fp) {
-            return v;
-        }
-        let v = classify(&self.interp, classifier, form);
-        cache.verdict_insert(key, fp, v);
-        v
-    }
-
-    /// Consumes `slot`'s reply-tier store ticket if its command really
-    /// produced the successful reply the ticket anticipated. Error and
-    /// degraded replies drop through (their tickets die with the batch);
-    /// a stored reply is therefore always an `Ok` produced by the real
-    /// execution path at the ticket's epoch.
-    fn maybe_cache_store(&mut self, slot: usize, reply: &Reply) {
-        if !reply.ok || reply.code != ErrorCode::Ok {
-            return;
-        }
-        let Some(t) = self.pending_store.remove(&slot) else {
-            return;
-        };
-        if let Some(cache) = &self.config.cache {
-            // Pure commands cannot move the epoch, and nothing impure can
-            // have run between classify and reply (barriers drain first).
-            debug_assert_eq!(self.interp.envs.sync_epoch(), t.epoch);
-            cache.reply_insert(t.key, &t.text, t.epoch, reply.clone());
-        }
     }
 
     /// Evaluates a classified top-level section command through the same
@@ -559,23 +415,8 @@ impl CpuRepl {
             interp.put_node_buf(args);
             return Err(e);
         }
-        let prepared = match self.config.mode {
-            CpuMode::Threaded { threads } => {
-                let deadline = self.config.reply_deadline;
-                let plan = self.config.fault_plan.clone();
-                let hook = self
-                    .threaded
-                    .get_or_insert_with(|| ThreadedHook::with_watchdog(threads, deadline, plan));
-                culi_core::builtins::prepare_section(interp, hook, &args, global, 0)
-            }
-            CpuMode::ForkPerSection { threads } => {
-                let hook = self
-                    .forked
-                    .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                culi_core::builtins::prepare_section(interp, hook, &args, global, 0)
-            }
-            CpuMode::Modeled => unreachable!("pipelined staging outside a parallel CPU mode"),
-        };
+        let hook = threaded_hook(&mut self.threaded, &self.config);
+        let prepared = culi_core::builtins::prepare_section(interp, hook, &args, global, 0);
         interp.put_node_buf(args);
         prepared
     }
@@ -601,30 +442,9 @@ impl CpuRepl {
         self.finish_collected(cmd, finished, eval_collect, job_counters)
     }
 
-    /// Collects one eagerly-executed fork-per-section command from its
-    /// recorded section results.
-    fn collect_forked(
-        &mut self,
-        cmd: PendingCommand,
-        outcome: culi_core::Result<Vec<NodeId>>,
-        job_counters: Counters,
-    ) -> Result<(usize, Reply)> {
-        let m = self.interp.meter.snapshot();
-        let finished = match outcome {
-            Ok(results) => {
-                let f = culi_core::builtins::finish_section(&mut self.interp, &results);
-                self.interp.put_node_buf(results);
-                f
-            }
-            Err(e) => Err(e),
-        };
-        let eval_collect = self.interp.meter.snapshot().delta_since(&m);
-        self.finish_collected(cmd, finished, eval_collect, job_counters)
-    }
-
-    /// Shared back half of collecting one staged command: account the
-    /// machine, print, GC, build the reply — charge-identical to the
-    /// synchronous path's post-section work.
+    /// Back half of collecting one staged command: account the machine,
+    /// print, GC, build the reply — charge-identical to the synchronous
+    /// path's post-section work.
     fn finish_collected(
         &mut self,
         cmd: PendingCommand,
@@ -682,7 +502,7 @@ impl CpuRepl {
         };
         self.machine
             .serial_compute(counters_to_cycles(&costs, &print_counters))?;
-        self.gc_between_commands();
+        self.collect_garbage();
         let spec = self.spec();
         let phases = breakdown(
             &spec,
@@ -706,16 +526,14 @@ impl CpuRepl {
             sections: Vec::new(),
             wall_ns: cmd.wall_start.elapsed().as_nanos() as u64,
         };
-        self.maybe_cache_store(cmd.slot, &reply);
+        self.batch_cache
+            .store(self.config.cache.as_ref(), &self.interp, cmd.slot, &reply);
         Ok((cmd.slot, reply))
     }
 
     /// Between-command collection, keeping staged-but-uncollected batch
-    /// state (job trees, fork results, a barrier's parse forms) alive.
-    fn gc_between_commands(&mut self) {
-        if !self.config.gc_between_commands {
-            return;
-        }
+    /// state (job trees, a barrier's parse forms) alive.
+    fn collect_garbage(&mut self) {
         if self.barrier_roots.is_empty() {
             culi_core::gc::collect(&mut self.interp, &self.batch_roots);
         } else if self.batch_roots.is_empty() {
@@ -731,7 +549,7 @@ impl CpuRepl {
     }
 
     fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Result<Reply> {
-        self.gc_between_commands();
+        self.collect_garbage();
         let spec = self.spec();
         let phases = breakdown(
             &spec,
@@ -755,7 +573,6 @@ impl CpuRepl {
     /// Stops the worker pool; returns total setup+teardown in ms.
     pub fn shutdown(&mut self) -> f64 {
         self.threaded = None; // joins the persistent worker pool
-        self.forked = None;
         self.machine.shutdown();
         self.machine.overhead_ns() as f64 / 1e6
     }
@@ -809,29 +626,11 @@ pub enum CpuBarrier {
     },
 }
 
-/// One dispatched CPU run. Opaque scheduler token — see
-/// [`ExecQueue::Run`].
+/// One dispatched CPU run: the worker pool holds the run's sections, and
+/// each command is collected through [`WorkerPool::collect_next`].
+/// Opaque scheduler token — see [`ExecQueue::Run`].
 #[derive(Debug)]
-pub struct CpuRun(CpuRunInner);
-
-#[derive(Debug)]
-enum CpuRunInner {
-    /// Threaded mode: the worker pool holds the run's sections; each
-    /// command is collected through [`WorkerPool::collect_next`].
-    Pooled(Vec<PendingCommand>),
-    /// ForkPerSection mode: sections were executed eagerly at dispatch;
-    /// each command carries its recorded results (or section error) and
-    /// its workers' job charges.
-    Forked {
-        /// The run's commands with their recorded outcomes.
-        cmds: Vec<(PendingCommand, culi_core::Result<Vec<NodeId>>, Counters)>,
-        /// Result node ids this run parked at the *front* of
-        /// `batch_roots` at dispatch — collect un-roots exactly that
-        /// prefix, leaving any jobs a later assembling run has already
-        /// rooted behind it untouched.
-        rooted_results: usize,
-    },
-}
+pub struct CpuRun(Vec<PendingCommand>);
 
 impl<'i> ExecQueue<'i> for CpuRepl {
     type Staged = CpuStaged;
@@ -843,13 +642,7 @@ impl<'i> ExecQueue<'i> for CpuRepl {
     }
 
     fn pipeline_depth(&self) -> usize {
-        match self.config.mode {
-            CpuMode::Threaded { .. } => WorkerPool::PIPELINE_DEPTH,
-            // The baseline executes runs eagerly at dispatch (no worker
-            // state to overlap with); depth 1 bounds the rooting window
-            // of its uncollected section results to one run.
-            _ => 1,
-        }
+        WorkerPool::PIPELINE_DEPTH
     }
 
     fn classify_and_stage(
@@ -874,57 +667,34 @@ impl<'i> ExecQueue<'i> for CpuRepl {
                 }))
             }
         };
-        // --- Cache probe (charge-free; see crate::cache) -----------------
-        // The epoch captured here is exactly the environment state this
-        // command executes against: every earlier barrier already ran
-        // (the scheduler drains and executes barriers before classifying
-        // the next command) and every in-flight staged command is pure.
-        let cache = self.config.cache.clone();
-        let mut probe = None;
-        if let Some(cache) = &cache {
-            let key = StructKey::of_forms(&self.interp, &forms);
-            let epoch = self.interp.envs.sync_epoch();
-            if let Some(mut reply) = cache.reply_lookup(&key, input, epoch) {
+        // --- Cache probe and classification (charge-free) ----------------
+        let classified = self.batch_cache.classify(
+            self.config.cache.as_ref(),
+            &self.interp,
+            &forms,
+            input,
+            slot,
+        );
+        match classified {
+            Classified::Hit(mut reply) => {
                 // The stored counters are the ones this run would
                 // recompute (source-text condition); only wall time is
                 // fresh. The probe's parse temporaries are garbage now —
                 // collect them as any finished command would.
                 reply.wall_ns = wall_start.elapsed().as_nanos() as u64;
-                self.gc_between_commands();
-                return Ok(Verdict::Done(Box::new(reply)));
+                self.collect_garbage();
+                return Ok(Verdict::Done(reply));
             }
-            probe = Some((key, epoch));
-        }
-        let stageable = forms.len() == 1
-            && self.classify_stageable(cache.as_ref(), probe.as_ref().map(|(k, _)| k), forms[0]);
-        // A miss on a classified-pure command earns a store ticket,
-        // consumed if and when the slot produces an `Ok` reply. Purity is
-        // what makes replay sound: the reply depends only on the tree and
-        // the (epoch-stamped) environment.
-        if let (Some(_), Some((key, epoch))) = (&cache, probe) {
-            let pure = stageable
-                || forms.iter().all(|&f| {
-                    culi_core::effects::expr_is_pure(&self.interp, self.interp.global, f)
-                });
-            if pure {
-                self.pending_store.insert(
-                    slot,
-                    ReplyTicket {
-                        key,
-                        text: input.to_string(),
-                        epoch,
-                    },
-                );
+            Classified::Stageable(false) => {
+                // Root the parse tree across the coming drain's GCs.
+                self.barrier_roots.extend_from_slice(&forms);
+                return Ok(Verdict::Barrier(CpuBarrier::Forms {
+                    forms,
+                    parse: parse_counters,
+                    wall_start,
+                }));
             }
-        }
-        if !stageable {
-            // Root the parse tree across the coming drain's GCs.
-            self.barrier_roots.extend_from_slice(&forms);
-            return Ok(Verdict::Barrier(CpuBarrier::Forms {
-                forms,
-                parse: parse_counters,
-                wall_start,
-            }));
+            Classified::Stageable(true) => {}
         }
         // --- Prepare (meter-identical to the synchronous path) -----------
         // Same arming point as finish_submit: the command's master-side
@@ -955,116 +725,54 @@ impl<'i> ExecQueue<'i> for CpuRepl {
     }
 
     fn dispatch(&mut self, run: Vec<CpuStaged>) -> Result<CpuRun> {
-        match self.config.mode {
-            CpuMode::Threaded { threads } => {
-                let deadline = self.config.reply_deadline;
-                let plan = self.config.fault_plan.clone();
-                let hook = self
-                    .threaded
-                    .get_or_insert_with(|| ThreadedHook::with_watchdog(threads, deadline, plan));
-                let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
-                let global = self.interp.global;
-                hook.pool_mut(&self.interp).stage_run_cached(
-                    &mut self.interp,
-                    &sections,
-                    global,
-                    self.config.cache.as_ref(),
-                );
-                let mut cmds = Vec::with_capacity(run.len());
-                for CpuStaged { cmd, jobs } in run {
-                    self.interp.put_node_buf(jobs);
-                    cmds.push(cmd);
-                }
-                // The jobs are encoded into the postbox now.
-                self.batch_roots.clear();
-                Ok(CpuRun(CpuRunInner::Pooled(cmds)))
-            }
-            CpuMode::ForkPerSection { threads } => {
-                // Execute eagerly: a fork dies with its section, so there
-                // is no pipelining to gain — only the shared staging
-                // semantics. Entering dispatch, batch_roots holds exactly
-                // this run's staged job trees; they are consumed below
-                // and the recorded results take their place as the rooted
-                // prefix until collected.
-                self.batch_roots.clear();
-                let mut cmds = Vec::with_capacity(run.len());
-                for CpuStaged { cmd, jobs } in run {
-                    let hook = self
-                        .forked
-                        .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                    let mut results = self.interp.take_node_buf();
-                    let global = self.interp.global;
-                    let executed = hook.execute(&mut self.interp, &jobs, global, &mut results);
-                    self.interp.put_node_buf(jobs);
-                    let job_counters = hook.take_job_counters();
-                    let outcome = match executed {
-                        Ok(()) => {
-                            self.batch_roots.extend_from_slice(&results);
-                            Ok(results)
-                        }
-                        Err(e) => {
-                            self.interp.put_node_buf(results);
-                            Err(e)
-                        }
-                    };
-                    cmds.push((cmd, outcome, job_counters));
-                }
-                let rooted_results = self.batch_roots.len();
-                Ok(CpuRun(CpuRunInner::Forked {
-                    cmds,
-                    rooted_results,
-                }))
-            }
-            CpuMode::Modeled => unreachable!("batch dispatch outside a parallel CPU mode"),
+        let hook = threaded_hook(&mut self.threaded, &self.config);
+        let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
+        let global = self.interp.global;
+        hook.pool_mut(&self.interp).stage_run_cached(
+            &mut self.interp,
+            &sections,
+            global,
+            self.config.cache.as_ref(),
+        );
+        let mut cmds = Vec::with_capacity(run.len());
+        for CpuStaged { cmd, jobs } in run {
+            self.interp.put_node_buf(jobs);
+            cmds.push(cmd);
         }
+        // The jobs are encoded into the postbox now.
+        self.batch_roots.clear();
+        Ok(CpuRun(cmds))
     }
 
     fn collect(&mut self, run: CpuRun, replies: &mut [Option<Reply>]) -> Result<()> {
-        match run.0 {
-            CpuRunInner::Pooled(cmds) => {
-                let mut cmds = cmds.into_iter();
-                while let Some(cmd) = cmds.next() {
-                    let slot = cmd.slot;
-                    match self.collect_staged(cmd) {
-                        Ok((slot, reply)) => replies[slot] = Some(reply),
-                        Err(e) if e.is_degradable() => {
-                            // A seat was lost mid-run. Write this command
-                            // and every later one in the run off to the
-                            // scheduler's sequential fallback, draining
-                            // the pool's remaining (possibly synthetic)
-                            // replies so its accounting stays balanced.
-                            self.degraded_slots.push(slot);
-                            let hook = self
-                                .threaded
-                                .as_mut()
-                                .expect("a staged command implies a live threaded hook");
-                            let pool = hook.pool_mut(&self.interp);
-                            let mut scratch = self.interp.take_node_buf();
-                            for cmd in cmds {
-                                self.degraded_slots.push(cmd.slot);
-                                scratch.clear();
-                                let _ = pool.collect_next(&mut self.interp, &mut scratch);
-                            }
-                            self.interp.put_node_buf(scratch);
-                            let _ = hook.take_job_counters();
-                            return Err(e);
-                        }
-                        Err(e) => return Err(e),
+        let mut cmds = run.0.into_iter();
+        while let Some(cmd) = cmds.next() {
+            let slot = cmd.slot;
+            match self.collect_staged(cmd) {
+                Ok((slot, reply)) => replies[slot] = Some(reply),
+                Err(e) if e.is_degradable() => {
+                    // A seat was lost mid-run. Write this command and
+                    // every later one in the run off to the scheduler's
+                    // sequential fallback, draining the pool's remaining
+                    // (possibly synthetic) replies so its accounting
+                    // stays balanced.
+                    self.degraded_slots.push(slot);
+                    let hook = self
+                        .threaded
+                        .as_mut()
+                        .expect("a staged command implies a live threaded hook");
+                    let pool = hook.pool_mut(&self.interp);
+                    let mut scratch = self.interp.take_node_buf();
+                    for cmd in cmds {
+                        self.degraded_slots.push(cmd.slot);
+                        scratch.clear();
+                        let _ = pool.collect_next(&mut self.interp, &mut scratch);
                     }
+                    self.interp.put_node_buf(scratch);
+                    let _ = hook.take_job_counters();
+                    return Err(e);
                 }
-            }
-            CpuRunInner::Forked {
-                cmds,
-                rooted_results,
-            } => {
-                for (cmd, outcome, job_counters) in cmds {
-                    let (slot, reply) = self.collect_forked(cmd, outcome, job_counters)?;
-                    replies[slot] = Some(reply);
-                }
-                // Un-root only this run's (now consumed) results:
-                // commands staged for the next run may already have
-                // rooted their job trees behind them.
-                self.batch_roots.drain(..rooted_results);
+                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -1084,7 +792,8 @@ impl<'i> ExecQueue<'i> for CpuRepl {
             } => {
                 self.barrier_roots.clear();
                 let reply = self.finish_submit(&forms, parse, wall_start, false)?;
-                self.maybe_cache_store(slot, &reply);
+                self.batch_cache
+                    .store(self.config.cache.as_ref(), &self.interp, slot, &reply);
                 reply
             }
             CpuBarrier::ParseError { error, parse } => self.error_reply(
@@ -1137,98 +846,19 @@ impl<'i> ExecQueue<'i> for CpuRepl {
     }
 }
 
-/// PR 3's charge-free *syntactic* classification, retained as the
-/// [`BatchClassifier::SyntacticInert`] benchmark baseline: `form` is a
-/// `(||| …)` expression whose head symbol resolves to the parallel
-/// builtin in the global environment and whose operands are all
-/// [`inert_operand`]s. The default [`BatchClassifier::EffectAnalysis`]
-/// rule ([`culi_core::effects::stageable_parallel_section`]) subsumes
-/// this one — everything inert is also pure.
-fn stageable_inert_section(interp: &Interp, form: NodeId) -> bool {
-    let n = *interp.arena.get(form);
-    let first = match (n.ty, n.payload) {
-        (
-            NodeType::List | NodeType::Expression,
-            Payload::List {
-                first: Some(first), ..
-            },
-        ) => first,
-        _ => return false,
+/// The session's persistent worker-pool backend, launched on first use.
+/// Only Threaded sessions get here: Modeled sessions never stage, dispatch
+/// or evaluate through the pool.
+fn threaded_hook<'h>(
+    slot: &'h mut Option<ThreadedHook>,
+    config: &CpuReplConfig,
+) -> &'h mut ThreadedHook {
+    let CpuMode::Threaded { threads } = config.mode else {
+        unreachable!("worker pool requested by a Modeled session")
     };
-    let head = *interp.arena.get(first);
-    let sid = match (head.ty, head.payload) {
-        (NodeType::Symbol, Payload::Text(s)) => s,
-        _ => return false,
-    };
-    if interp.strings.get(sid) != b"|||" {
-        return false;
-    }
-    match resolve_global_quiet(interp, sid) {
-        Some(node) => {
-            let resolved = interp.arena.get(node);
-            match (resolved.ty, resolved.payload) {
-                (NodeType::Function, Payload::Builtin(b)) => {
-                    if interp.builtins.name(b) != "|||" {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
-        None => return false,
-    }
-    let mut cur = interp.arena.get(first).next;
-    while let Some(id) = cur {
-        if !inert_operand(interp, id) {
-            return false;
-        }
-        cur = interp.arena.get(id).next;
-    }
-    true
-}
-
-/// `true` when evaluating `id` cannot have side effects: an atom (a
-/// literal evaluates to itself, a symbol to a pure lookup) or a list of
-/// atoms whose head does not resolve to anything callable (so the list
-/// evaluates element-wise instead of applying a function, form or macro).
-fn inert_operand(interp: &Interp, id: NodeId) -> bool {
-    let n = *interp.arena.get(id);
-    let mut cur = match (n.ty, n.payload) {
-        (NodeType::List | NodeType::Expression, Payload::List { first, .. }) => first,
-        _ => return true,
-    };
-    let mut is_head = true;
-    while let Some(kid) = cur {
-        let k = *interp.arena.get(kid);
-        match k.ty {
-            NodeType::List | NodeType::Expression => return false,
-            NodeType::Symbol if is_head => {
-                if let Payload::Text(s) = k.payload {
-                    if let Some(v) = resolve_global_quiet(interp, s) {
-                        if matches!(
-                            interp.arena.get(v).ty,
-                            NodeType::Function | NodeType::Form | NodeType::Macro
-                        ) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        is_head = false;
-        cur = k.next;
-    }
-    true
-}
-
-/// Global lookup without touching the session meter (classification must
-/// not charge anything — it is bookkeeping, not interpreter work).
-fn resolve_global_quiet(interp: &Interp, sid: culi_core::StrId) -> Option<NodeId> {
-    let mut scratch = culi_core::cost::Meter::new();
-    interp
-        .envs
-        .lookup(interp.global, sid, &interp.strings, &mut scratch)
+    slot.get_or_insert_with(|| {
+        ThreadedHook::with_watchdog(threads, config.reply_deadline, config.fault_plan.clone())
+    })
 }
 
 fn eval_forms(
@@ -1486,67 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_per_section_mode_works_end_to_end() {
-        let mut r = CpuRepl::launch(
-            intel_e5_2620(),
-            CpuReplConfig {
-                interp: InterpConfig {
-                    arena_capacity: 1 << 16,
-                    ..Default::default()
-                },
-                mode: CpuMode::ForkPerSection { threads: 3 },
-                ..Default::default()
-            },
-        );
-        r.submit("(defun sq (x) (* x x))").unwrap();
-        let reply = r.submit("(||| 4 sq (1 2 3 4))").unwrap();
-        assert_eq!(reply.output, "(1 4 9 16)");
-        assert!(r.interp_mut().clone_count() > 0, "the baseline clones");
-    }
-
-    #[test]
-    fn fork_per_section_batches_match_submit_loop() {
-        // The baseline rides the same BatchScheduler: staged sections
-        // execute eagerly through ForkPerSectionHook, barriers drain, and
-        // replies (counters included) match its own submit loop.
-        let make = || {
-            CpuRepl::launch(
-                intel_e5_2620(),
-                CpuReplConfig {
-                    interp: InterpConfig {
-                        arena_capacity: 1 << 16,
-                        ..Default::default()
-                    },
-                    mode: CpuMode::ForkPerSection { threads: 3 },
-                    ..Default::default()
-                },
-            )
-        };
-        let mut a = make();
-        let mut b = make();
-        let prelude = "(defun sq (x) (* x x))";
-        a.submit(prelude).unwrap();
-        b.submit(prelude).unwrap();
-        let inputs = [
-            "(||| 3 sq (1 2 3))",
-            "(||| 2 sq (list 4 5))",
-            "(setq g 7)", // barrier
-            "(||| 2 + (1 2) (list g g))",
-            "(||| 2 / (1 1) (0 1))", // worker error
-            "(||| 3 sq (4 5 6))",
-        ];
-        let batched = b.submit_batch(&inputs).unwrap();
-        for (src, got) in inputs.iter().zip(&batched) {
-            let want = a.submit(src).unwrap();
-            assert_eq!(want.output, got.output, "{src}");
-            assert_eq!(want.ok, got.ok, "{src}");
-            if want.ok {
-                assert_eq!(want.counters, got.counters, "{src}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_pipelines_sections_and_matches_submit_loop() {
         let prelude = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
         let section = "(||| 4 fib (4 5 6 7))";
@@ -1626,9 +1195,9 @@ mod tests {
 
     #[test]
     fn computed_operands_pipeline_under_effect_analysis() {
-        // `(list g g)` and a computed worker count were barriers under
-        // PR 3's syntactic rule; the effect classifier stages them — with
-        // zero warm clones — and results stay correct.
+        // `(list g g)` and a computed worker count are pure operands: the
+        // effect classifier stages them — with zero warm clones — and
+        // results stay correct.
         let mut r = threaded(2);
         r.submit("(setq g 3)").unwrap();
         r.submit("(||| 2 + (1 2) (3 4))").unwrap(); // warm the pool
@@ -1664,28 +1233,6 @@ mod tests {
             .unwrap();
         assert_eq!(replies[1].output, "(5 7)");
         assert_eq!(replies[2].output, "5", "barrier preserved effect order");
-    }
-
-    #[test]
-    fn syntactic_classifier_still_barriers_computed_operands() {
-        // The retained PR 3 baseline must keep its old (narrower)
-        // behaviour: correct results via the synchronous path.
-        let mut r = CpuRepl::launch(
-            intel_e5_2620(),
-            CpuReplConfig {
-                interp: InterpConfig {
-                    arena_capacity: 1 << 16,
-                    ..Default::default()
-                },
-                mode: CpuMode::Threaded { threads: 2 },
-                batch_classifier: BatchClassifier::SyntacticInert,
-                ..Default::default()
-            },
-        );
-        let replies = r
-            .submit_batch(&["(setq g 3)", "(||| 2 + (1 2) (list g g))"])
-            .unwrap();
-        assert_eq!(replies[1].output, "(4 5)");
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //! errors) drain the pipeline and run on device 0, the interactive
 //! `submit` device.
 
-use crate::cache::{CommandCache, FingerprintTracker, ReplyTicket};
-use crate::cpu_repl::BatchClassifier;
+use crate::cache::{BatchCache, Classified, CommandCache};
 use crate::error::{Result, RuntimeError};
 use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
 use crate::reply::Reply;
@@ -43,13 +42,11 @@ use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
 use culi_core::cost::Counters;
 use culi_core::eval::{eval, ParallelHook};
 use culi_core::fault::{FaultPlan, FaultSite};
-use culi_core::structhash::StructKey;
 use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
 use culi_gpu_sim::cmdbuf::CommandBuffer;
 use culi_gpu_sim::{
     CostTable, DeviceSpec, KernelConfig, PersistentKernel, SectionReport, SimError, SimStats,
 };
-use std::collections::HashMap;
 
 /// Configuration for a GPU session.
 #[derive(Debug, Clone)]
@@ -58,9 +55,6 @@ pub struct GpuReplConfig {
     pub kernel: KernelConfig,
     /// Interpreter limits.
     pub interp: InterpConfig,
-    /// Run the mark-sweep collector after every command, keeping long
-    /// interactive sessions inside the fixed arena.
-    pub gc_between_commands: bool,
     /// Command buffer capacity in bytes (both directions, per device).
     pub cmdbuf_capacity: usize,
     /// Host-side file services exposed to device code (`read-file` etc.,
@@ -88,7 +82,6 @@ impl Default for GpuReplConfig {
         Self {
             kernel: KernelConfig::default(),
             interp: InterpConfig::default(),
-            gc_between_commands: true,
             cmdbuf_capacity: 1 << 16,
             host_io: None,
             device_count: 1,
@@ -121,13 +114,8 @@ pub struct GpuRepl {
     /// Reply slots written off by a degradable dispatch failure, awaiting
     /// the scheduler's sequential fallback ([`ExecQueue::take_failed`]).
     degraded_slots: Vec<usize>,
-    /// Incremental classifier-environment fingerprint (verdict-tier key
-    /// dimension; see [`crate::cache`] module docs).
-    fingerprint: FingerprintTracker,
-    /// Reply-tier store tickets recorded at classify time for cache
-    /// misses of classified-pure commands, keyed by batch slot and
-    /// consumed when the slot's `Ok` reply is produced.
-    pending_store: HashMap<usize, ReplyTicket>,
+    /// Batch classification and the command cache's per-batch state.
+    batch_cache: BatchCache,
 }
 
 impl GpuRepl {
@@ -149,8 +137,7 @@ impl GpuRepl {
             scratch_cycles: Vec::new(),
             next_device: 0,
             degraded_slots: Vec::new(),
-            fingerprint: FingerprintTracker::new(),
-            pending_store: HashMap::new(),
+            batch_cache: BatchCache::new(),
         }
     }
 
@@ -239,9 +226,7 @@ impl GpuRepl {
         if !self.is_running() {
             return Err(RuntimeError::SessionClosed);
         }
-        // Store tickets never outlive their batch (slot numbers are only
-        // meaningful within one).
-        self.pending_store.clear();
+        self.batch_cache.begin_batch();
         BatchScheduler::submit_batch(self, inputs)
     }
 
@@ -253,39 +238,6 @@ impl GpuRepl {
     /// handshake before its commands are written off for the scheduler's
     /// sequential fallback.
     pub const HANDSHAKE_RETRIES: usize = 2;
-
-    /// Charge-free host-side classification: parse (unmetered, the
-    /// garbage is collected before the run is processed) and apply the
-    /// same [`culi_core::effects`] rule the CPU pipeline stages under.
-    fn classify_stageable(&mut self, input: &str) -> bool {
-        let global = self.interp.global;
-        self.interp.unmetered(
-            |interp| match culi_core::parser::parse(interp, input.as_bytes()) {
-                Ok(forms) => {
-                    forms.len() == 1
-                        && culi_core::effects::stageable_parallel_section(interp, global, forms[0])
-                }
-                Err(_) => false,
-            },
-        )
-    }
-
-    /// Consumes `slot`'s reply-tier store ticket if its command really
-    /// produced the successful reply the ticket anticipated (mirrors
-    /// `CpuRepl::maybe_cache_store`). Error and degraded replies drop
-    /// through; their tickets die with the batch.
-    fn maybe_cache_store(&mut self, slot: usize, reply: &Reply) {
-        if !reply.ok || reply.code != ErrorCode::Ok {
-            return;
-        }
-        let Some(t) = self.pending_store.remove(&slot) else {
-            return;
-        };
-        if let Some(cache) = &self.config.cache {
-            debug_assert_eq!(self.interp.envs.sync_epoch(), t.epoch);
-            cache.reply_insert(t.key, &t.text, t.epoch, reply.clone());
-        }
-    }
 
     /// Parse/evaluate/print one already-uploaded command on device
     /// `dev`'s master thread, charging `dispatch_overhead` extra cycles
@@ -400,9 +352,7 @@ impl GpuRepl {
             .kernel
             .master_compute(counters_to_cycles(&costs, &print_counters))?;
 
-        if self.config.gc_between_commands {
-            culi_core::gc::collect(&mut self.interp, &[]);
-        }
+        culi_core::gc::collect(&mut self.interp, &[]);
 
         let phases = breakdown(
             &self.spec(),
@@ -437,9 +387,7 @@ impl GpuRepl {
     fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Reply {
         let code = e.code();
         let output = format!("error: {e}");
-        if self.config.gc_between_commands {
-            culi_core::gc::collect(&mut self.interp, &[]);
-        }
+        culi_core::gc::collect(&mut self.interp, &[]);
         let phases = breakdown(
             &self.spec(),
             &counters.parse,
@@ -557,95 +505,27 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         input: &'i str,
         slot: usize,
     ) -> Result<Verdict<GpuStaged<'i>, &'i str>> {
-        let Some(cache) = self.config.cache.clone() else {
-            return Ok(if self.classify_stageable(input) {
-                Verdict::Stage(GpuStaged { input, slot })
-            } else {
-                Verdict::Barrier(input)
-            });
-        };
-        // Cached classification (charge-free, like classify_stageable:
-        // the look-ahead parse is unmetered and its garbage is collected
-        // before the run is processed). The epoch captured here is
-        // exactly the environment state this command executes against —
-        // earlier barriers already ran, in-flight staged commands are
-        // pure.
-        enum Classified {
-            Hit(Box<Reply>),
-            Miss {
-                stageable: bool,
-                ticket: Option<ReplyTicket>,
-            },
-        }
-        let global = self.interp.global;
-        let fingerprint = &mut self.fingerprint;
-        let outcome = self.interp.unmetered(|interp| {
-            let Ok(forms) = culi_core::parser::parse(interp, input.as_bytes()) else {
+        // Charge-free host-side look-ahead: parse unmetered (the garbage
+        // is collected before the run is processed) and classify with the
+        // same policy and effect rule as the CPU pipeline.
+        let cache = self.config.cache.as_ref();
+        let batch_cache = &mut self.batch_cache;
+        let classified = self.interp.unmetered(|interp| {
+            match culi_core::parser::parse(interp, input.as_bytes()) {
+                Ok(forms) => batch_cache.classify(cache, interp, &forms, input, slot),
                 // The parse error itself replays through the barrier path.
-                return Classified::Miss {
-                    stageable: false,
-                    ticket: None,
-                };
-            };
-            let key = StructKey::of_forms(interp, &forms);
-            let epoch = interp.envs.sync_epoch();
-            if let Some(reply) = cache.reply_lookup(&key, input, epoch) {
-                return Classified::Hit(Box::new(reply));
-            }
-            let classify = |interp: &Interp, f| {
-                culi_core::effects::stageable_parallel_section(interp, global, f)
-            };
-            let stageable = forms.len() == 1
-                && match fingerprint
-                    .fingerprint(interp, BatchClassifier::EffectAnalysis.fingerprint_tag())
-                {
-                    Some(fp) => {
-                        // Slice the single-form key out of the command key
-                        // instead of re-walking the tree.
-                        let fkey = key
-                            .single_form()
-                            .unwrap_or_else(|| StructKey::of(interp, forms[0]));
-                        match cache.verdict_lookup(&fkey, fp) {
-                            Some(v) => v,
-                            None => {
-                                let v = classify(interp, forms[0]);
-                                cache.verdict_insert(fkey, fp, v);
-                                v
-                            }
-                        }
-                    }
-                    None => classify(interp, forms[0]),
-                };
-            let pure = stageable
-                || forms
-                    .iter()
-                    .all(|&f| culi_core::effects::expr_is_pure(interp, global, f));
-            Classified::Miss {
-                stageable,
-                ticket: pure.then(|| ReplyTicket {
-                    key,
-                    text: input.to_string(),
-                    epoch,
-                }),
+                Err(_) => Classified::Stageable(false),
             }
         });
-        Ok(match outcome {
+        Ok(match classified {
             Classified::Hit(reply) => {
                 // The served reply replaces a whole run: collect the
                 // probe's parse garbage the way dispatch would have.
                 culi_core::gc::collect(&mut self.interp, &[]);
                 Verdict::Done(reply)
             }
-            Classified::Miss { stageable, ticket } => {
-                if let Some(ticket) = ticket {
-                    self.pending_store.insert(slot, ticket);
-                }
-                if stageable {
-                    Verdict::Stage(GpuStaged { input, slot })
-                } else {
-                    Verdict::Barrier(input)
-                }
-            }
+            Classified::Stageable(true) => Verdict::Stage(GpuStaged { input, slot }),
+            Classified::Stageable(false) => Verdict::Barrier(input),
         })
     }
 
@@ -662,9 +542,8 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         let dev = self.next_device;
         self.next_device = (self.next_device + 1) % self.devices.len();
         // Classification parsed look-ahead trees unmetered; collect that
-        // garbage — even when between-command GC is off — so a batch's
-        // extra arena pressure stays bounded by one run's parse trees
-        // instead of the whole stream's.
+        // garbage so a batch's extra arena pressure stays bounded by one
+        // run's parse trees instead of the whole stream's.
         culi_core::gc::collect(&mut self.interp, &[]);
         let blob = run.iter().map(|s| s.input).collect::<Vec<_>>().join("\n");
         let overhead = self.spec().command_overhead_cycles;
@@ -738,7 +617,8 @@ impl<'i> ExecQueue<'i> for GpuRepl {
 
     fn collect(&mut self, run: GpuRun, replies: &mut [Option<Reply>]) -> Result<()> {
         for (slot, reply) in run.0 {
-            self.maybe_cache_store(slot, &reply);
+            self.batch_cache
+                .store(self.config.cache.as_ref(), &self.interp, slot, &reply);
             replies[slot] = Some(reply);
         }
         Ok(())
@@ -751,7 +631,8 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         replies: &mut [Option<Reply>],
     ) -> Result<()> {
         let reply = self.submit(barrier)?;
-        self.maybe_cache_store(slot, &reply);
+        self.batch_cache
+            .store(self.config.cache.as_ref(), &self.interp, slot, &reply);
         replies[slot] = Some(reply);
         Ok(())
     }

@@ -39,11 +39,11 @@ pub mod session;
 pub mod vfs;
 
 pub use cache::{CacheConfig, CacheStats, CommandCache, TierStats};
-pub use cpu_repl::{BatchClassifier, CpuMode, CpuRepl, CpuReplConfig};
+pub use cpu_repl::{CpuMode, CpuRepl, CpuReplConfig};
 pub use error::{Result, RuntimeError};
 pub use gpu_repl::{GpuRepl, GpuReplConfig};
 pub use phases::{counters_to_cycles, CommandCounters, PhaseBreakdown};
-pub use pool::{ForkPerSectionHook, ThreadedHook, WorkerPool};
+pub use pool::{ThreadedHook, WorkerPool};
 pub use reply::Reply;
 pub use scheduler::{BatchScheduler, ExecQueue, Verdict};
 pub use server::{ServerConfig, ServerStats, SessionServer, TenantId, TenantSnapshot, TenantStats};

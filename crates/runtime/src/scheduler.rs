@@ -9,9 +9,8 @@
 //! a barrier, and re-sequence replies into submission order. This module
 //! owns that state machine once, parameterized over a small [`ExecQueue`]
 //! trait; the REPLs shrink to thin adapters that implement the trait (the
-//! CPU worker pool and the fork-per-section baseline in
-//! [`crate::cpu_repl`], the — possibly multi-device — simulated-GPU
-//! command buffer in [`crate::gpu_repl`]).
+//! CPU worker pool in [`crate::cpu_repl`], the — possibly multi-device —
+//! simulated-GPU command buffer in [`crate::gpu_repl`]).
 //!
 //! One layer above sits the multi-tenant [`crate::server::SessionServer`]
 //! (PR 7): it owns *admission* — which tenant's commands enter the

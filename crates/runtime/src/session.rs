@@ -198,17 +198,6 @@ impl Session {
         }
     }
 
-    /// Boots the retained fork-per-section baseline CPU session.
-    pub fn cpu_fork_per_section(spec: DeviceSpec, threads: usize) -> Self {
-        Self::Cpu(CpuRepl::launch(
-            spec,
-            CpuReplConfig {
-                mode: CpuMode::ForkPerSection { threads },
-                ..Default::default()
-            },
-        ))
-    }
-
     /// The device behind this session.
     pub fn spec(&self) -> DeviceSpec {
         match self {
@@ -233,9 +222,8 @@ impl Session {
     /// double-buffered postboxes ([`CpuRepl::submit_batch`]); GPU
     /// sessions batch them into shared command buffers with one
     /// host↔device handshake per run, round-robined across the session's
-    /// simulated devices ([`GpuRepl::submit_batch`]); fork-per-section
-    /// sessions run the same staging machine over eagerly-executed
-    /// sections; modeled CPU sessions run the commands one by one.
+    /// simulated devices ([`GpuRepl::submit_batch`]); modeled CPU
+    /// sessions run the commands one by one.
     /// Replies always come back in input order and match a `submit` loop.
     ///
     /// [`culi_runtime_scheduler`]: crate::scheduler::BatchScheduler
@@ -339,7 +327,6 @@ mod tests {
             Session::gpu_sharded(gtx680(), 4),
             Session::for_device(intel_e5_2620()),
             Session::cpu_threaded(intel_e5_2620(), 3),
-            Session::cpu_fork_per_section(intel_e5_2620(), 3),
         ] {
             let replies = s.submit_batch(&inputs).unwrap();
             assert!(replies.iter().all(|r| r.ok));

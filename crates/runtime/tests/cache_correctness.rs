@@ -1,9 +1,10 @@
 //! End-to-end correctness of the PR 8 structural-hash command cache:
 //! cache-on sessions must be observably indistinguishable from cache-off
 //! sessions — byte-identical output, status, code and paper-model
-//! counters — across the CPU threaded, CPU fork-per-section and
-//! simulated-GPU backends, while the cache's own stats prove it actually
-//! served traffic. Directed tests pin the two hazardous edges: reply
+//! counters — across the CPU threaded and simulated-GPU backends, while
+//! the cache's own stats prove it actually served traffic. Both backends
+//! run one shared batch cache policy, so the same stream must also hit
+//! and miss the reply tier identically on either. Directed tests pin the two hazardous edges: reply
 //! entries must never survive an env sync-epoch advance (a redefined
 //! global must never be answered with a stale reply), and forced hash
 //! collisions (narrowed [`CacheConfig::hash_mask`]) must fall back to
@@ -125,17 +126,6 @@ fn cache_on_off_bit_identity_cpu_threaded() {
 }
 
 #[test]
-fn cache_on_off_bit_identity_cpu_fork_per_section() {
-    let cache = CommandCache::new(CacheConfig::default());
-    let mut plain = cpu(CpuMode::ForkPerSection { threads: 4 }, None);
-    let mut memo = cpu(CpuMode::ForkPerSection { threads: 4 }, Some(cache.clone()));
-    let a = run_cpu(&mut plain, STREAM, 2);
-    let b = run_cpu(&mut memo, STREAM, 2);
-    assert_identical(&a, &b, "cpu fork-per-section");
-    assert!(cache.stats().reply.hits >= 1, "{:?}", cache.stats());
-}
-
-#[test]
 fn cache_on_off_bit_identity_gpu() {
     let cache = CommandCache::new(CacheConfig::default());
     let mut plain = gpu(None);
@@ -147,6 +137,61 @@ fn cache_on_off_bit_identity_gpu() {
         cache.stats().reply.hits >= STREAM.len() as u64,
         "{:?}",
         cache.stats()
+    );
+}
+
+/// One cache policy for both backends: a seeded stream with repeats and a
+/// mid-stream `setq` (an epoch advance) must produce the same reply-tier
+/// hits and misses through a CPU tenant view as through a GPU one.
+#[test]
+fn cpu_and_gpu_tenant_views_agree_on_reply_tier_hits_and_misses() {
+    const SHAPES: &[&str] = &[
+        "(||| 2 plus (1 2) (3 4))",
+        "(||| 3 fibj (1 2 3))",
+        "(||| 2 addg (1 2))",
+        "(||| 4 addg xs)",
+        "(+ g 2)",
+        "(car xs)",
+    ];
+    // splitmix64 over a fixed seed.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let stream: Vec<&str> = (0..40)
+        .map(|k| {
+            if k == 20 {
+                "(setq g 5)"
+            } else {
+                SHAPES[(next() % SHAPES.len() as u64) as usize]
+            }
+        })
+        .collect();
+    let cpu_cache = CommandCache::new(CacheConfig::default());
+    let gpu_cache = CommandCache::new(CacheConfig::default());
+    let mut on_cpu = cpu(
+        CpuMode::Threaded { threads: 4 },
+        Some(cpu_cache.tenant_view()),
+    );
+    let mut on_gpu = gpu(Some(gpu_cache.tenant_view()));
+    let a = run_cpu(&mut on_cpu, &stream, 2);
+    let b = run_gpu(&mut on_gpu, &stream, 2);
+    for (k, (x, y)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(x.output, y.output, "cmd {k}: {}", stream[k % stream.len()]);
+    }
+    let (c, g) = (cpu_cache.stats().reply, gpu_cache.stats().reply);
+    assert_eq!(
+        (c.hits, c.misses),
+        (g.hits, g.misses),
+        "cpu {c:?} vs gpu {g:?}"
+    );
+    assert!(
+        c.hits > 0 && c.misses > 0,
+        "stream must both hit and miss: {c:?}"
     );
 }
 

@@ -37,8 +37,8 @@ enum Stmt {
     Section { func: u8, n: u8, args: Vec<i64> },
     /// A section over the global list `xs` (stageable symbol operand).
     SymbolArgSection(u8),
-    /// A section with a `(list …)` operand reading the global `g` —
-    /// barriered under the syntactic rule, staged by the effect analysis.
+    /// A section with a `(list …)` operand reading the global `g` (a
+    /// computed operand the effect analysis stages).
     ListOperandSection(u8),
     /// A section whose worker count is computed (stageable).
     ComputedCountSection(u8),

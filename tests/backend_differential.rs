@@ -3,23 +3,21 @@
 //! `|||` sections (nested ones included, plus computed worker counts,
 //! `(list …)` operands and conditional operands that exercise the
 //! effect-analysis staging rule), worker errors, short-list errors and
-//! GC-pressure loops — run through four `|||` backends:
+//! GC-pressure loops — run through every `|||` backend:
 //!
 //! 1. **sequential** — the modeled CPU pipeline (jobs evaluate inline on
-//!    the master, separated by the model hook);
-//! 2. **fork-per-section** — PR 1's whole-interpreter-clone baseline;
-//! 3. **pooled** — the persistent worker pool, one rendezvous per
+//!    the master, separated by the model hook): the reference;
+//! 2. **pooled** — the persistent worker pool, one rendezvous per
 //!    command (`submit` loop);
-//! 4. **pipelined** — the same pool driven through the shared
+//! 3. **pipelined** — the same pool driven through the shared
 //!    `BatchScheduler` (`submit_batch`);
-//! 5. **fork-batched** — the fork-per-section baseline driven through
-//!    the same scheduler (PR 5: every parallel backend implements the
-//!    `ExecQueue` staging hooks);
-//! 6. **gpu×{1,2,4}** — the simulated-GPU session's batched command
+//! 4. **gpu×{1,2,4}** — the simulated-GPU session's batched command
 //!    buffers at one, two and four sharded devices (PR 5: round-robined
 //!    runs must be bit-identical to the single-device path and to the
 //!    modeled-sequential reference — sharding may only move modeled
-//!    time between device clocks).
+//!    time between device clocks);
+//! 5. **cache arms** — the pipelined and GPU batch paths with a shared
+//!    `CommandCache`, cold and warm.
 //!
 //! Every command's printed reply (error text included) must be
 //! byte-identical across all arms, and every *successful* command's
@@ -110,7 +108,7 @@ fn command(rng: &mut Rng) -> String {
             format!("(||| {n} nest ({}))", args.join(" "))
         }
         // Computed worker count: a pure arithmetic expression the effect
-        // classifier stages (a barrier under PR 3's syntactic rule).
+        // classifier stages.
         12 => {
             let k = rng.int(1, 4);
             let args: Vec<String> = (0..=k).map(|_| rng.int(-8, 8).to_string()).collect();
@@ -232,10 +230,8 @@ fn check_program(seed: u64) {
     let commands: Vec<String> = (0..len).map(|_| command(&mut rng)).collect();
 
     let mut sequential = repl(CpuMode::Modeled);
-    let mut forked = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
-    let mut fork_batched = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut gpus: Vec<GpuRepl> = [1, 2, 4].map(gpu_repl).into_iter().collect();
     // Cache arms (PR 8): one shared cache, tenant views per backend — the
     // CPU and GPU arms share verdict/template tiers but keep private
@@ -245,10 +241,8 @@ fn check_program(seed: u64) {
     let mut cached_gpu = gpu_repl_cached(shared_cache.tenant_view());
     for line in PRELUDE {
         sequential.submit(line).unwrap();
-        forked.submit(line).unwrap();
         pooled.submit(line).unwrap();
         pipelined.submit(line).unwrap();
-        fork_batched.submit(line).unwrap();
         cached.submit(line).unwrap();
         cached_gpu.submit(line).unwrap();
         for gpu in &mut gpus {
@@ -259,7 +253,6 @@ fn check_program(seed: u64) {
     let inputs: Vec<&str> = commands.iter().map(String::as_str).collect();
     let batched = pipelined.submit_batch(&inputs).unwrap();
     assert_eq!(batched.len(), inputs.len());
-    let fork_batch = fork_batched.submit_batch(&inputs).unwrap();
     let gpu_batches: Vec<Vec<Reply>> = gpus
         .iter_mut()
         .map(|gpu| gpu.submit_batch(&inputs).unwrap())
@@ -277,14 +270,10 @@ fn check_program(seed: u64) {
 
     for (k, src) in inputs.iter().enumerate() {
         let a = sequential.submit(src).unwrap();
-        let b = forked.submit(src).unwrap();
         let c = pooled.submit(src).unwrap();
-        let d = &batched[k];
         let tag = |name: &str| format!("seed {seed} cmd {k} [{name}]: {src}");
-        compare_replies(&a, &b, &tag("fork-per-section"));
         compare_replies(&a, &c, &tag("pooled"));
-        compare_replies(&a, d, &tag("pipelined"));
-        compare_replies(&a, &fork_batch[k], &tag("fork-batched"));
+        compare_replies(&a, &batched[k], &tag("pipelined"));
         compare_replies(&a, &cached_cold[k], &tag("pipelined+cache cold"));
         compare_replies(&a, &cached_gpu_cold[k], &tag("gpu+cache cold"));
         compare_replies(
@@ -648,21 +637,17 @@ fn differential_survives_compaction_and_snapshot_resync() {
         "(||| 5 fibj (1 2 3 4 5))",
     ];
     let mut sequential = repl(CpuMode::Modeled);
-    let mut forked = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
     for line in PRELUDE {
         sequential.submit(line).unwrap();
-        forked.submit(line).unwrap();
         pooled.submit(line).unwrap();
         pipelined.submit(line).unwrap();
     }
     let batched = pipelined.submit_batch(&program).unwrap();
     for (k, src) in program.iter().enumerate() {
         let a = sequential.submit(src).unwrap();
-        let b = forked.submit(src).unwrap();
         let c = pooled.submit(src).unwrap();
-        compare_replies(&a, &b, &format!("cmd {k} [fork]"));
         compare_replies(&a, &c, &format!("cmd {k} [pooled]"));
         compare_replies(&a, &batched[k], &format!("cmd {k} [pipelined]"));
     }
