@@ -8,19 +8,25 @@
 //! [`culi_runtime::CpuRepl`] batch sessions — one with the
 //! [`culi_runtime::CommandCache`] enabled, one without — and asserts the
 //! replies are **byte-identical** (output, ok, code and full paper-model
-//! counters) before reporting a single timing number.
+//! counters) before reporting a single timing number. The cache has one
+//! tier: whole replies of pure commands, keyed on structure, source text
+//! and env epoch, in a byte-budgeted store per session.
 //!
 //! * **`zipf_speedup`** — per-command wall time, uncached ÷ cached, on
 //!   the skewed stream. Hard floor **≥ 5×** (the PR's acceptance bar:
 //!   repeated traffic must shed at least that much per-command overhead),
 //!   plus a downward baseline-relative regression band.
-//! * **`reply_hit_rate`** — reply-tier hits ÷ probes on the skewed
-//!   stream; gated against the baseline with an absolute 0.50 floor so
-//!   the speedup can never be bought by quietly disabling the cache.
+//! * **`reply_hit_rate`** — reply hits ÷ probes on the skewed stream;
+//!   gated against the baseline with an absolute 0.50 floor so the
+//!   speedup can never be bought by quietly disabling the cache.
 //! * **`miss_overhead`** — per-command wall time, cached ÷ uncached, on
 //!   an **all-distinct** stream (every probe misses). This is the pure
-//!   cost of hashing and probing; gated upward against
-//!   `max(baseline × band, 1.5)` so cold traffic never pays a large tax.
+//!   cost of hashing, probing and storing replies that are never reused;
+//!   gated upward against `max(baseline × band, 1.5)` so cold traffic
+//!   never pays a large tax.
+//!
+//! Every sample also asserts the store stays within its
+//! `reply_byte_budget`.
 //!
 //! ```text
 //! cargo run --release -p culi-bench --bin bench_pr8 [out.json]
@@ -200,7 +206,7 @@ fn run_benchmarks(rows: &mut Vec<BenchRow>, samples: usize) -> Metrics {
         // budget discipline must hold at the end of every sample.
         let config = CacheConfig::default();
         assert!(
-            cache.retained_bytes() <= config.shared_byte_budget + config.reply_byte_budget,
+            cache.retained_bytes() <= config.reply_byte_budget,
             "cache retained {} bytes over budget",
             cache.retained_bytes()
         );

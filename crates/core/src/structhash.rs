@@ -90,23 +90,6 @@ impl StructKey {
         self.canon == other.canon
     }
 
-    /// For a single-form command key (produced by [`StructKey::of_forms`]
-    /// over exactly one root), the key of that form alone — recovered by
-    /// slicing the count prefix and form separator off the canonical
-    /// encoding instead of re-walking the tree. `None` when the key
-    /// holds zero or several forms.
-    pub fn single_form(&self) -> Option<StructKey> {
-        let count = u32::from_le_bytes(self.canon.get(..4)?.try_into().ok()?);
-        if count != 1 || *self.canon.last()? != TAG_FORM_SEP {
-            return None;
-        }
-        let canon = self.canon[4..self.canon.len() - 1].to_vec();
-        Some(StructKey {
-            hash: fnv1a(&canon),
-            canon,
-        })
-    }
-
     /// The hash narrowed by `mask`. Caches bucket on this so tests can
     /// force collisions (e.g. `mask = 0`) and prove the byte-compare
     /// fallback serves no wrong reply.
@@ -268,17 +251,6 @@ mod tests {
         assert_eq!(a.masked(0), b.masked(0));
         // ...yet the full compare still tells them apart.
         assert!(!a.tree_equal(&b));
-    }
-
-    #[test]
-    fn single_form_key_matches_direct_encode() {
-        let mut interp = Interp::new(InterpConfig::default());
-        let forms = parser::parse(&mut interp, b"(+ 1 (list 2 3))").expect("parse");
-        let command = StructKey::of_forms(&interp, &forms);
-        let derived = command.single_form().expect("one form");
-        assert_eq!(derived, StructKey::of(&interp, forms[0]));
-        let multi = parser::parse(&mut interp, b"(a) (b)").expect("parse");
-        assert!(StructKey::of_forms(&interp, &multi).single_form().is_none());
     }
 
     #[test]

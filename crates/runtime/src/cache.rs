@@ -1,47 +1,54 @@
-//! The structural-hash command cache: memoization for repeated traffic.
+//! The structural-hash reply cache: memoization for repeated traffic.
 //!
 //! Production command streams are heavily repetitive — many tenants
-//! submit the same preludes, defuns and query shapes — yet every arrival
-//! used to pay full classification and dispatch-encoding costs again.
-//! [`CommandCache`] memoizes three tiers, keyed on the
-//! [`culi_core::structhash::StructKey`] of the parsed trees (never on
-//! `NodeId`s, which differ on every re-parse):
+//! submit the same preludes and query shapes — yet every arrival used to
+//! pay full parse, classify and execution costs again. [`CommandCache`]
+//! memoizes whole replies of classified-pure commands, keyed on the
+//! [`culi_core::structhash::StructKey`] of the parsed forms (never on
+//! `NodeId`s, which differ on every re-parse), the exact source text and
+//! the **env sync epoch**. Any epoch advance — every `define`/`set` bumps
+//! it — invalidates the store: entries recorded against an older epoch
+//! are dropped on the next probe, so a stale reply is never served (the
+//! proptest suite interleaves defines between repeats to prove it).
+//! Epochs and environments are tenant-private, so the cache is
+//! **strictly per-tenant**: every [`CommandCache::tenant_view`] owns its
+//! own store, and views of one fleet share nothing but the integer
+//! hit/miss/evict counters behind [`CommandCache::stats`].
 //!
-//! 1. **Verdict tier** — the batch classifier's outcome (stageable or
-//!    barrier, from [`culi_core::effects::stageable_parallel_section`])
-//!    per command shape. The classifier resolves head symbols against
-//!    the live global environment, so the key also carries a
-//!    **classifier fingerprint**: a fold over the env
-//!    sync-epoch log's records (symbol bytes + structural hash of the
-//!    bound value). Two interpreters with the same mutation history —
-//!    e.g. tenants that ran the same prelude — produce the same
-//!    fingerprint, so verdict entries are shared across tenants; any
-//!    redefinition changes the fingerprint and retires the old verdicts.
-//! 2. **Template tier** — pre-encoded [`culi_core::postbox::TreeTemplate`]
-//!    job payloads, spliced into the worker pool's dispatch buffers at
-//!    `stage_run` time instead of re-walking the job trees
-//!    ([`culi_core::postbox::FlatTree::push_template`] is byte-identical
-//!    to a fresh encode). Job trees embed their resolved operands, so
-//!    this tier keys on tree shape alone and is shared across tenants.
-//! 3. **Reply tier** — whole replies for classified-pure commands, keyed
-//!    on (structural hash, source text, **env sync epoch**). Any epoch
-//!    advance — every `define`/`set` bumps it — invalidates the entry:
-//!    lookups require an exact epoch match and drop entries recorded
-//!    against an older epoch on sight, so a stale reply is never served
-//!    (the proptest suite interleaves defines between repeats to prove
-//!    it). Epochs and environments are tenant-private, so this tier is
-//!    **strictly per-tenant**: [`CommandCache::tenant_view`] shares the
-//!    verdict/template stores but gives each tenant its own reply store.
+//! # Why there is only one tier
+//!
+//! The cache used to hold two more tiers in front of the dispatch path,
+//! both shared by every tenant behind one fleet-wide lock. Neither paid
+//! for itself, so both were removed:
+//!
+//! * **Classifier verdicts**, keyed on a fingerprint folded over the env
+//!   mutation log. Every `setq` changed the fingerprint, so each tenant
+//!   write opened a fresh verdict scope: on the `serve-light` benchmark
+//!   mix the tier hit 1.5% of probes, and every miss paid the fingerprint
+//!   fold, a key copy, the lock and insert/evict churn to save a ~135 ns
+//!   classify.
+//! * **Pre-encoded dispatch templates** for staged `|||` jobs. They hit
+//!   on every repeat, yet a hit cost more than the encode it replaced:
+//!   computing the key walked the same tree the encoder walks, then the
+//!   probe took the lock, compared canonical bytes and copied the words
+//!   and texts out.
+//!
+//! Without them the cost of probing a cache that never hits (`bench_pr8`
+//! pure-miss overhead, cached ÷ uncached on an all-distinct stream) fell
+//! from 1.67–1.74× to 1.08–1.24× (five runs each on a 2-core x86-64
+//! machine), with replies, meter charges and reply hits unchanged. [`CacheStats::verdict`] and [`CacheStats::template`]
+//! are retired: they remain for callers that read them and always read
+//! zero.
 //!
 //! # One batch policy for every backend
 //!
 //! Both batch schedulers' classify steps ([`crate::CpuRepl`] and
 //! [`crate::GpuRepl`]) go through one crate-private policy, `BatchCache`,
-//! which owns the classifier fingerprint and the per-batch reply-tier
-//! store tickets. Per command it:
+//! which owns the per-batch store tickets. Per command it:
 //!
-//! 1. probes the reply tier on `(structural key, source text, epoch)`;
-//! 2. on a miss, classifies through the fingerprint-scoped verdict tier;
+//! 1. probes the store on `(structural key, source text, epoch)`;
+//! 2. on a miss, classifies the command
+//!    ([`culi_core::effects::stageable_parallel_section`]);
 //! 3. issues a store ticket when the command is pure;
 //! 4. stores the command's reply at the ticket's epoch, only if it is `Ok`.
 //!
@@ -57,13 +64,10 @@
 //!
 //! * Key hashing is charge-free by construction
 //!   ([`culi_core::structhash`] reads the arena without metering).
-//! * Verdict hits skip only the classifier walk, which was never metered.
-//! * Template hits skip only the dispatch encode, which is deliberately
-//!   unmetered (transfer is modeled at the simulated-device layer).
-//! * Reply hits require the *source text* to match byte-for-byte (not
-//!   just the structure), so the cached counters — parse included — are
-//!   the counters the uncached run would recompute; the reply is served
-//!   as a clone with fresh wall-clock time only.
+//! * Hits require the *source text* to match byte-for-byte (not just the
+//!   structure), so the cached counters — parse included — are the
+//!   counters the uncached run would recompute; the reply is served as a
+//!   clone with fresh wall-clock time only.
 //!
 //! A hash collision (two shapes, one hash bucket) is caught by the
 //! injective canonical encoding: every probe compares
@@ -75,11 +79,10 @@
 //!
 //! Each store evicts least-recently-used entries under a byte budget —
 //! the worker pool's `RETAINED_MSG_BYTES` discipline applied to cache
-//! retention. Hit/miss/evict counters per tier surface in
+//! retention. The fleet's counters surface in
 //! [`crate::server::SessionServer::server_stats`].
 
 use crate::reply::Reply;
-use culi_core::postbox::{FlatTree, TreeTemplate};
 use culi_core::structhash::StructKey;
 use culi_core::{ErrorCode, Interp, NodeId};
 use std::collections::HashMap;
@@ -113,8 +116,6 @@ type Prehashed = std::hash::BuildHasherDefault<PrehashedKey>;
 /// fleets; the bench scales budgets with stream size.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Byte budget of the shared verdict + template stores.
-    pub shared_byte_budget: usize,
     /// Byte budget of each tenant view's private reply store.
     pub reply_byte_budget: usize,
     /// Mask applied to structural hashes before bucketing. `u64::MAX`
@@ -126,7 +127,6 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
-            shared_byte_budget: 4 * crate::pool::WorkerPool::RETAINED_MSG_BYTES,
             reply_byte_budget: crate::pool::WorkerPool::RETAINED_MSG_BYTES,
             hash_mask: u64::MAX,
         }
@@ -145,96 +145,103 @@ pub struct TierStats {
     pub evictions: u64,
 }
 
-impl TierStats {
-    fn add(&mut self, other: &TierStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-}
-
-/// Counters for all three tiers ([`CommandCache::stats`]).
+/// Cache counters ([`CommandCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Classification-verdict tier.
+    /// Retired classification-verdict tier: always zero.
     pub verdict: TierStats,
-    /// Staged-run template tier.
+    /// Retired staged-run template tier: always zero.
     pub template: TierStats,
     /// Whole-reply tier (aggregated across every tenant view).
     pub reply: TierStats,
 }
 
-/// One stored entry: the full key for the collision check, extra key
-/// dimensions (fingerprint or epoch), the value and LRU bookkeeping.
+/// One cached reply: the full key for the collision check, the exact
+/// source text it was recorded for (the charge-exactness condition: same
+/// bytes in, same counters out) and LRU bookkeeping.
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry {
     key: StructKey,
-    /// Verdict tier: classifier fingerprint. Reply tier: env sync epoch.
-    /// Template tier: unused (0).
-    extra: u64,
-    value: V,
+    text: String,
+    reply: Reply,
     touched: u64,
     bytes: usize,
 }
 
-/// One bounded LRU store bucketed on the masked structural hash.
+/// One tenant's bounded LRU reply store, bucketed on the masked
+/// structural hash. Every entry was recorded at `epoch`.
 #[derive(Debug)]
-struct Store<V> {
-    buckets: HashMap<u64, Vec<Entry<V>>, Prehashed>,
+struct Store {
+    buckets: HashMap<u64, Vec<Entry>, Prehashed>,
+    epoch: u64,
     bytes: usize,
     budget: usize,
     mask: u64,
     clock: u64,
-    stats: TierStats,
-    /// Epoch of the last [`Store::retire_stale`] sweep. The reply tier
-    /// sweeps on every probe; this tag makes the no-advance case O(1).
-    swept_epoch: u64,
+    /// Entries dropped since the owning view last drained this into the
+    /// fleet counters.
+    evictions: u64,
 }
 
-impl<V> Store<V> {
-    fn new(budget: usize, mask: u64) -> Self {
+impl Store {
+    fn new(config: &CacheConfig) -> Self {
         Self {
             buckets: HashMap::default(),
+            epoch: 0,
             bytes: 0,
-            budget,
-            mask,
+            budget: config.reply_byte_budget,
+            mask: config.hash_mask,
             clock: 0,
-            stats: TierStats::default(),
-            swept_epoch: 0,
+            evictions: 0,
         }
     }
 
-    /// Finds the entry matching `(key, extra)` — full canonical compare,
-    /// never hash-trust — touching it on hit. The miss is *not* counted
-    /// here; callers count exactly one hit or miss per probe.
-    fn lookup(&mut self, key: &StructKey, extra: u64) -> Option<&V> {
+    /// Drops every entry once the env epoch differs from the one they
+    /// were recorded at, counting them as evictions. Runs on every probe
+    /// and insert, so a reply never survives an epoch advance; the
+    /// (overwhelmingly common) no-advance case is one compare.
+    fn retire_stale(&mut self, epoch: u64) {
+        if epoch == self.epoch {
+            return;
+        }
+        self.epoch = epoch;
+        self.evictions += self.buckets.values().map(Vec::len).sum::<usize>() as u64;
+        self.buckets.clear();
+        self.bytes = 0;
+    }
+
+    /// The reply recorded for `key` at `epoch` — full canonical compare,
+    /// never hash-trust — if its source text is exactly `text`. A
+    /// structural match is touched even when the text differs.
+    fn lookup(&mut self, key: &StructKey, text: &str, epoch: u64) -> Option<Reply> {
+        self.retire_stale(epoch);
         self.clock += 1;
         let clock = self.clock;
         let bucket = self.buckets.get_mut(&key.masked(self.mask))?;
-        let e = bucket
-            .iter_mut()
-            .find(|e| e.extra == extra && e.key.tree_equal(key))?;
+        let e = bucket.iter_mut().find(|e| e.key.tree_equal(key))?;
         e.touched = clock;
-        Some(&e.value)
+        (e.text == text).then(|| e.reply.clone())
     }
 
-    /// Inserts (or replaces) the entry for `(key, extra)`, then evicts
+    /// Inserts (or replaces) the entry for `key` at `epoch`, then evicts
     /// LRU entries until the byte budget holds again.
-    fn insert(&mut self, key: StructKey, extra: u64, value: V, value_bytes: usize) {
+    fn insert(&mut self, key: StructKey, text: &str, epoch: u64, reply: Reply) {
+        self.retire_stale(epoch);
         self.clock += 1;
-        let bytes = key.retained_bytes() + value_bytes + 64;
+        let bytes = key.retained_bytes()
+            + text.len()
+            + reply.output.len()
+            + std::mem::size_of::<Reply>()
+            + 64;
         let bucket = self.buckets.entry(key.masked(self.mask)).or_default();
-        if let Some(pos) = bucket
-            .iter()
-            .position(|e| e.extra == extra && e.key.tree_equal(&key))
-        {
+        if let Some(pos) = bucket.iter().position(|e| e.key.tree_equal(&key)) {
             self.bytes -= bucket[pos].bytes;
             bucket.remove(pos);
         }
         bucket.push(Entry {
             key,
-            extra,
-            value,
+            text: text.to_string(),
+            reply,
             touched: self.clock,
             bytes,
         });
@@ -289,36 +296,7 @@ impl<V> Store<V> {
         }
         self.buckets.retain(|_, b| !b.is_empty());
         self.bytes -= freed;
-        self.stats.evictions += dropped;
-    }
-
-    /// Drops every entry whose `extra` (epoch) is not `current`,
-    /// counting them as evictions. The reply tier calls this on every
-    /// probe so stale entries never survive an epoch advance; the sweep
-    /// tag makes the (overwhelmingly common) no-advance case free.
-    fn retire_stale(&mut self, current: u64) {
-        if current == self.swept_epoch {
-            return;
-        }
-        self.swept_epoch = current;
-        let mut dropped = 0u64;
-        for bucket in self.buckets.values_mut() {
-            bucket.retain(|e| {
-                if e.extra == current {
-                    true
-                } else {
-                    self.bytes -= e.bytes;
-                    dropped += 1;
-                    false
-                }
-            });
-        }
-        self.buckets.retain(|_, b| !b.is_empty());
-        self.stats.evictions += dropped;
-    }
-
-    fn retained_bytes(&self) -> usize {
-        self.bytes
+        self.evictions += dropped;
     }
 }
 
@@ -333,74 +311,6 @@ struct ReplyTicket {
     epoch: u64,
 }
 
-/// Lazily folds the env sync log into the verdict tier's classifier
-/// fingerprint: a FNV-1a fold over every logged mutation's kind, target
-/// environment, symbol bytes and bound-value structural hash. Two
-/// interpreters with the same post-boot mutation history fold to the
-/// same fingerprint (so verdict entries shared through a
-/// [`CommandCache::tenant_view`] hit across tenants); any divergence —
-/// including the same symbol bound to a different value — changes it.
-#[derive(Debug)]
-struct FingerprintTracker {
-    /// Sync epoch up to which the log has been folded.
-    epoch: u64,
-    /// Running fold over the records below `epoch`.
-    hash: u64,
-    /// Set when a folded record's value tree was already collected (its
-    /// structure is unrecoverable): the fingerprint no longer describes
-    /// the environment, so verdict caching is disabled for this session.
-    poisoned: bool,
-}
-
-impl FingerprintTracker {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-    fn new() -> Self {
-        Self {
-            epoch: 0,
-            hash: Self::SEED,
-            poisoned: false,
-        }
-    }
-
-    fn fold(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
-    /// The fingerprint for the interpreter's current environment state,
-    /// folding any sync records logged since the last call. `None` once
-    /// poisoned (callers fall back to uncached classification, which is
-    /// always sound).
-    fn fingerprint(&mut self, interp: &Interp) -> Option<u64> {
-        if self.poisoned {
-            return None;
-        }
-        for r in interp.envs.sync_records_since(self.epoch) {
-            if !interp.arena.is_live(r.value) {
-                self.poisoned = true;
-                return None;
-            }
-            let mut h = Self::fold(
-                self.hash,
-                &[match r.kind {
-                    culi_core::env::SyncKind::Define => 0xD0,
-                    culi_core::env::SyncKind::Set => 0x5E,
-                }],
-            );
-            h = Self::fold(h, &(r.env.index() as u32).to_le_bytes());
-            let sym = interp.strings.get(r.sym);
-            h = Self::fold(h, &(sym.len() as u32).to_le_bytes());
-            h = Self::fold(h, sym);
-            h = Self::fold(h, &StructKey::of(interp, r.value).hash.to_le_bytes());
-            self.hash = h;
-        }
-        self.epoch = interp.envs.sync_epoch();
-        Some(self.hash)
-    }
-}
-
 /// What [`BatchCache::classify`] decided for one batch command.
 #[derive(Debug)]
 pub(crate) enum Classified {
@@ -413,16 +323,12 @@ pub(crate) enum Classified {
 }
 
 /// The batch cache policy both repls run inside their scheduler's
-/// classify step (see the module docs): reply-tier probe, verdict-tier
-/// classification and `Ok`-only reply stores. It owns the session's
-/// classifier fingerprint and the current batch's store tickets; the
-/// cache itself stays in the repl's config and is passed in, with `None`
-/// meaning "just classify".
+/// classify step (see the module docs): reply-tier probe, classification
+/// and `Ok`-only reply stores. It owns the current batch's store tickets;
+/// the cache itself stays in the repl's config and is passed in, with
+/// `None` meaning "just classify".
 #[derive(Debug)]
 pub(crate) struct BatchCache {
-    /// Incremental classifier-environment fingerprint (verdict-tier key
-    /// dimension).
-    fingerprint: FingerprintTracker,
     /// Store tickets of this batch's classified-pure cache misses, keyed
     /// by batch slot.
     tickets: HashMap<usize, ReplyTicket>,
@@ -431,7 +337,6 @@ pub(crate) struct BatchCache {
 impl BatchCache {
     pub(crate) fn new() -> Self {
         Self {
-            fingerprint: FingerprintTracker::new(),
             tickets: HashMap::new(),
         }
     }
@@ -461,35 +366,19 @@ impl BatchCache {
         slot: usize,
     ) -> Classified {
         let global = interp.global;
-        let stageable_section =
-            |form| culi_core::effects::stageable_parallel_section(interp, global, form);
+        let stageable = || {
+            forms.len() == 1
+                && culi_core::effects::stageable_parallel_section(interp, global, forms[0])
+        };
         let Some(cache) = cache else {
-            return Classified::Stageable(forms.len() == 1 && stageable_section(forms[0]));
+            return Classified::Stageable(stageable());
         };
         let key = StructKey::of_forms(interp, forms);
         let epoch = interp.envs.sync_epoch();
         if let Some(reply) = cache.reply_lookup(&key, input, epoch) {
             return Classified::Hit(Box::new(reply));
         }
-        let stageable = forms.len() == 1
-            && match self.fingerprint.fingerprint(interp) {
-                Some(fp) => {
-                    // Slice the single-form key out of the command key
-                    // instead of re-walking the tree.
-                    let form_key = key
-                        .single_form()
-                        .unwrap_or_else(|| StructKey::of(interp, forms[0]));
-                    match cache.verdict_lookup(&form_key, fp) {
-                        Some(v) => v,
-                        None => {
-                            let v = stageable_section(forms[0]);
-                            cache.verdict_insert(form_key, fp, v);
-                            v
-                        }
-                    }
-                }
-                None => stageable_section(forms[0]),
-            };
+        let stageable = stageable();
         // Purity is what makes replay sound: the reply then depends only
         // on the tree and the (epoch-stamped) environment.
         let pure = stageable
@@ -534,127 +423,37 @@ impl BatchCache {
     }
 }
 
-/// A cached reply plus the exact source text it was recorded for (the
-/// charge-exactness condition: same bytes in, same counters out).
-#[derive(Debug)]
-struct ReplyEntry {
-    text: String,
-    reply: Reply,
-}
-
-/// The verdict/template stores shared by every tenant view.
-#[derive(Debug)]
-struct SharedTiers {
-    verdict: Store<bool>,
-    template: Store<TreeTemplate>,
-}
-
-/// Handle to the command cache. Cloning shares everything; a
-/// [`CommandCache::tenant_view`] shares the verdict/template tiers but
-/// holds its own private reply tier (see the module docs for why). An
+/// Handle to one tenant's reply cache. Cloning shares the store; a
+/// [`CommandCache::tenant_view`] gets a fresh private store and shares
+/// only the fleet's counters (see the module docs for why). An
 /// `Option<CommandCache>` of `None` in a repl config disables caching
 /// entirely — the uncached paths are untouched.
 #[derive(Debug, Clone)]
 pub struct CommandCache {
-    shared: Arc<Mutex<SharedTiers>>,
-    reply: Arc<Mutex<Store<ReplyEntry>>>,
-    /// Reply-tier stats aggregated across every tenant view.
-    reply_stats: Arc<Mutex<TierStats>>,
+    store: Arc<Mutex<Store>>,
+    /// Reply-tier counters aggregated across every view of the fleet.
+    stats: Arc<Mutex<TierStats>>,
     config: CacheConfig,
 }
 
 impl CommandCache {
-    /// A fresh cache with its own stores.
+    /// A fresh cache with its own store and counters.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            shared: Arc::new(Mutex::new(SharedTiers {
-                verdict: Store::new(config.shared_byte_budget / 2, config.hash_mask),
-                template: Store::new(config.shared_byte_budget / 2, config.hash_mask),
-            })),
-            reply: Arc::new(Mutex::new(Store::new(
-                config.reply_byte_budget,
-                config.hash_mask,
-            ))),
-            reply_stats: Arc::new(Mutex::new(TierStats::default())),
+            store: Arc::new(Mutex::new(Store::new(&config))),
+            stats: Arc::new(Mutex::new(TierStats::default())),
             config,
         }
     }
 
-    /// A tenant's view: verdict/template tiers shared with `self`, reply
-    /// tier private (tenant epochs and environments are not comparable).
+    /// A tenant's view: a private reply store (tenant epochs and
+    /// environments are not comparable) feeding the fleet's counters.
     pub fn tenant_view(&self) -> Self {
         Self {
-            shared: Arc::clone(&self.shared),
-            reply: Arc::new(Mutex::new(Store::new(
-                self.config.reply_byte_budget,
-                self.config.hash_mask,
-            ))),
-            reply_stats: Arc::clone(&self.reply_stats),
+            store: Arc::new(Mutex::new(Store::new(&self.config))),
+            stats: Arc::clone(&self.stats),
             config: self.config.clone(),
         }
-    }
-
-    /// Cached classification verdict for `(key, fingerprint)`.
-    pub fn verdict_lookup(&self, key: &StructKey, fingerprint: u64) -> Option<bool> {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.verdict.lookup(key, fingerprint).copied() {
-            Some(v) => {
-                shared.verdict.stats.hits += 1;
-                Some(v)
-            }
-            None => {
-                shared.verdict.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records a classification verdict.
-    pub fn verdict_insert(&self, key: StructKey, fingerprint: u64, stageable: bool) {
-        let mut shared = self.shared.lock().expect("cache lock");
-        shared.verdict.insert(key, fingerprint, stageable, 1);
-    }
-
-    /// Cached pre-encoded job template for `key` (cloned out; splicing
-    /// happens under no lock).
-    pub fn template_lookup(&self, key: &StructKey) -> Option<TreeTemplate> {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.template.lookup(key, 0).cloned() {
-            Some(t) => {
-                shared.template.stats.hits += 1;
-                Some(t)
-            }
-            None => {
-                shared.template.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Splices the cached job template for `key` directly into `into`
-    /// under the store lock — the hot-path variant of
-    /// [`CommandCache::template_lookup`], sparing the clone-out of the
-    /// template's buffers. Returns `true` on hit.
-    pub fn template_splice(&self, key: &StructKey, into: &mut FlatTree) -> bool {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.template.lookup(key, 0) {
-            Some(t) => {
-                into.push_template(t);
-                shared.template.stats.hits += 1;
-                true
-            }
-            None => {
-                shared.template.stats.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Records a job template.
-    pub fn template_insert(&self, key: StructKey, template: TreeTemplate) {
-        let bytes = template.retained_bytes();
-        let mut shared = self.shared.lock().expect("cache lock");
-        shared.template.insert(key, 0, template, bytes);
     }
 
     /// Cached whole reply for `(key, text, epoch)`. Entries recorded
@@ -663,73 +462,41 @@ impl CommandCache {
     /// recorded counters (bit-identical by the source-text condition);
     /// the caller refreshes wall-clock time.
     pub fn reply_lookup(&self, key: &StructKey, text: &str, epoch: u64) -> Option<Reply> {
-        let mut store = self.reply.lock().expect("cache lock");
-        store.retire_stale(epoch);
-        let hit = store
-            .lookup(key, epoch)
-            .filter(|e| e.text == text)
-            .map(|e| e.reply.clone());
-        let stale_evictions = std::mem::take(&mut store.stats.evictions);
+        let mut store = self.store.lock().expect("cache lock");
+        let hit = store.lookup(key, text, epoch);
+        let evictions = std::mem::take(&mut store.evictions);
         drop(store);
-        let mut stats = self.reply_stats.lock().expect("cache lock");
-        stats.evictions += stale_evictions;
-        match hit {
-            Some(r) => {
-                stats.hits += 1;
-                Some(r)
-            }
-            None => {
-                stats.misses += 1;
-                None
-            }
+        let mut stats = self.stats.lock().expect("cache lock");
+        stats.evictions += evictions;
+        if hit.is_some() {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
+        hit
     }
 
     /// Records a classified-pure command's reply against `epoch`.
     pub fn reply_insert(&self, key: StructKey, text: &str, epoch: u64, reply: Reply) {
-        let bytes = text.len() + reply.output.len() + std::mem::size_of::<Reply>();
-        let mut store = self.reply.lock().expect("cache lock");
-        store.retire_stale(epoch);
-        store.insert(
-            key,
-            epoch,
-            ReplyEntry {
-                text: text.to_string(),
-                reply,
-            },
-            bytes,
-        );
-        let stale_evictions = std::mem::take(&mut store.stats.evictions);
+        let mut store = self.store.lock().expect("cache lock");
+        store.insert(key, text, epoch, reply);
+        let evictions = std::mem::take(&mut store.evictions);
         drop(store);
-        self.reply_stats.lock().expect("cache lock").evictions += stale_evictions;
+        self.stats.lock().expect("cache lock").evictions += evictions;
     }
 
-    /// Point-in-time counters for all tiers. Verdict/template counters
-    /// are the shared stores'; reply counters aggregate every view.
+    /// Point-in-time counters, aggregated across every view of the fleet.
     pub fn stats(&self) -> CacheStats {
-        let shared = self.shared.lock().expect("cache lock");
-        let mut reply = *self.reply_stats.lock().expect("cache lock");
-        reply.add(&TierStats::default());
         CacheStats {
-            verdict: shared.verdict.stats,
-            template: shared.template.stats,
-            reply,
+            reply: *self.stats.lock().expect("cache lock"),
+            ..CacheStats::default()
         }
     }
 
-    /// Bytes retained right now: shared stores plus this view's reply
-    /// store (other views' reply stores are theirs to report).
+    /// Bytes this view's reply store retains right now (other views'
+    /// stores are theirs to report).
     pub fn retained_bytes(&self) -> usize {
-        let shared = self.shared.lock().expect("cache lock");
-        shared.verdict.retained_bytes()
-            + shared.template.retained_bytes()
-            + self.reply.lock().expect("cache lock").retained_bytes()
-    }
-
-    /// The configured hash mask (propagated to key probes by callers
-    /// that precompute masked buckets; tests narrow it).
-    pub fn hash_mask(&self) -> u64 {
-        self.config.hash_mask
+        self.store.lock().expect("cache lock").bytes
     }
 }
 
@@ -795,26 +562,34 @@ mod tests {
         // own entry via the canonical compare.
         assert_eq!(cache.reply_lookup(&a, "(+ 1 2)", 1).unwrap().output, "3");
         assert_eq!(cache.reply_lookup(&b, "(* 9 9)", 1).unwrap().output, "81");
-        cache.verdict_insert(a.clone(), 7, true);
-        assert_eq!(cache.verdict_lookup(&a, 7), Some(true));
-        assert_eq!(cache.verdict_lookup(&b, 7), None, "no false sharing");
     }
 
     #[test]
-    fn verdict_tier_is_fingerprint_scoped_and_shared_across_views() {
-        let cache = CommandCache::new(CacheConfig::default());
-        let view_a = cache.tenant_view();
-        let view_b = cache.tenant_view();
+    fn tenant_views_keep_private_stores_and_share_counters() {
+        let fleet = CommandCache::new(CacheConfig::default());
+        let view_a = fleet.tenant_view();
+        let view_b = fleet.tenant_view();
         let key = key_of("(||| 2 + (1 2) (3 4))");
-        view_a.verdict_insert(key.clone(), 42, true);
-        // Same fingerprint (same prelude history): shared across tenants.
-        assert_eq!(view_b.verdict_lookup(&key, 42), Some(true));
-        // Different fingerprint (diverged env): not shared.
-        assert_eq!(view_b.verdict_lookup(&key, 43), None);
-        // Reply tier is NOT shared between views.
         view_a.reply_insert(key.clone(), "x", 1, reply("r"));
+        // Same key, text and epoch number, other tenant: never shared.
         assert!(view_b.reply_lookup(&key, "x", 1).is_none());
+        assert!(fleet.reply_lookup(&key, "x", 1).is_none());
+        assert_eq!(view_a.reply_lookup(&key, "x", 1).unwrap().output, "r");
+        assert_eq!(view_b.retained_bytes(), 0);
+        // B's epoch advance retires nothing of A's.
+        assert!(view_b.reply_lookup(&key, "x", 2).is_none());
         assert!(view_a.reply_lookup(&key, "x", 1).is_some());
+        // Every view reports the fleet-wide totals.
+        let totals = TierStats {
+            hits: 2,
+            misses: 3,
+            evictions: 0,
+        };
+        for view in [&fleet, &view_a, &view_b] {
+            assert_eq!(view.stats().reply, totals);
+            assert_eq!(view.stats().verdict, TierStats::default());
+            assert_eq!(view.stats().template, TierStats::default());
+        }
     }
 
     #[test]

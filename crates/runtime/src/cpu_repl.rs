@@ -84,9 +84,9 @@ pub struct CpuReplConfig {
     /// Deterministic fault script handed to the worker pool (empty in
     /// production; the differential fault harness scripts it).
     pub fault_plan: FaultPlan,
-    /// Structural-hash command cache ([`crate::cache`]): `None` (the
-    /// default) leaves every path uncached; `Some` enables the verdict,
-    /// template and reply tiers for [`CpuRepl::submit_batch`] streams.
+    /// Structural-hash reply cache ([`crate::cache`]): `None` (the
+    /// default) leaves every path uncached; `Some` serves repeated pure
+    /// commands of [`CpuRepl::submit_batch`] streams from the reply tier.
     /// Replies served from cache are bit-identical to the uncached run
     /// (the differential harness runs a cache-on arm).
     pub cache: Option<CommandCache>,
@@ -728,12 +728,8 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         let hook = threaded_hook(&mut self.threaded, &self.config);
         let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
         let global = self.interp.global;
-        hook.pool_mut(&self.interp).stage_run_cached(
-            &mut self.interp,
-            &sections,
-            global,
-            self.config.cache.as_ref(),
-        );
+        hook.pool_mut(&self.interp)
+            .stage_run(&mut self.interp, &sections, global);
         let mut cmds = Vec::with_capacity(run.len());
         for CpuStaged { cmd, jobs } in run {
             self.interp.put_node_buf(jobs);

@@ -70,10 +70,10 @@ pub struct GpuReplConfig {
     /// dropped reply — the only failure the command-buffer protocol
     /// models — exercising the retry-then-degrade path. Empty by default.
     pub fault_plan: FaultPlan,
-    /// Structural-hash command cache ([`crate::cache`]): `None` (the
-    /// default) leaves every path uncached; `Some` enables the verdict
-    /// and reply tiers for [`GpuRepl::submit_batch`] streams. Replies
-    /// served from cache are bit-identical to the uncached run.
+    /// Structural-hash reply cache ([`crate::cache`]): `None` (the
+    /// default) leaves every path uncached; `Some` serves repeated pure
+    /// commands of [`GpuRepl::submit_batch`] streams from the reply tier.
+    /// Replies served from cache are bit-identical to the uncached run.
     pub cache: Option<CommandCache>,
 }
 

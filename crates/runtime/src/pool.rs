@@ -911,26 +911,6 @@ impl WorkerPool {
     /// (stage panics otherwise — the caller drains the pipeline before
     /// mutating commands).
     pub fn stage_run(&mut self, interp: &mut Interp, sections: &[&[NodeId]], parent_env: EnvId) {
-        self.stage_run_cached(interp, sections, parent_env, None)
-    }
-
-    /// [`WorkerPool::stage_run`] with the command cache's **template
-    /// tier** ([`crate::cache::CommandCache`]) consulted per job: a
-    /// repeated job tree's dispatch encoding is served as a pre-encoded
-    /// [`culi_core::postbox::TreeTemplate`] splice
-    /// ([`culi_core::postbox::FlatTree::push_template`], byte-identical
-    /// to a fresh [`culi_core::postbox::FlatTree::push_tree`] walk)
-    /// instead of re-walking the arena. Job trees embed their resolved
-    /// operands, so the structural key alone identifies the payload —
-    /// no environment dimension needed. `None` is the uncached
-    /// [`WorkerPool::stage_run`] path, bit-for-bit.
-    pub fn stage_run_cached(
-        &mut self,
-        interp: &mut Interp,
-        sections: &[&[NodeId]],
-        parent_env: EnvId,
-        cache: Option<&crate::cache::CommandCache>,
-    ) {
         let epoch_now = interp.envs.sync_epoch();
         assert!(
             self.pending.iter().all(|p| p.epoch == epoch_now),
@@ -1019,19 +999,7 @@ impl WorkerPool {
                 let lo = c * chunk_size;
                 let hi = (lo + chunk_size).min(jobs.len());
                 for &job in &jobs[lo..hi] {
-                    match cache {
-                        Some(cache) => {
-                            let key = culi_core::structhash::StructKey::of(interp, job);
-                            if !cache.template_splice(&key, &mut msg.jobs) {
-                                // Encode as the uncached path would, then
-                                // capture the just-written words as the
-                                // template — no second arena walk.
-                                msg.jobs.push_tree(interp, job);
-                                cache.template_insert(key, msg.jobs.template_of_last());
-                            }
-                        }
-                        None => msg.jobs.push_tree(interp, job),
-                    }
+                    msg.jobs.push_tree(interp, job);
                 }
                 msg.section_jobs.push((hi - lo) as u32);
                 msg.section_first.push(lo as u32);

@@ -138,11 +138,11 @@ pub struct ServerConfig {
     pub quarantine_threshold: u32,
     /// Failure score at which commands are refused outright (terminal).
     pub reject_threshold: u32,
-    /// Structural-hash command cache shared across the fleet
-    /// ([`crate::cache`]): verdict/template tiers are shared between
-    /// tenants, each tenant gets a private reply tier
-    /// ([`CommandCache::tenant_view`]). `None` disables caching. On by
-    /// default — cache-served replies are bit-identical to uncached ones.
+    /// Structural-hash reply cache ([`crate::cache`]): each tenant gets
+    /// a private reply store ([`CommandCache::tenant_view`]); only the
+    /// hit/miss/evict counters are fleet-wide. `None` disables caching.
+    /// On by default — cache-served replies are bit-identical to
+    /// uncached ones.
     pub cache: Option<CacheConfig>,
 }
 
@@ -218,8 +218,8 @@ pub struct ServerStats {
     /// Dispatch-buffer bytes retained by the warm set right now.
     pub retained_warm_bytes: usize,
     /// Command-cache hit/miss/evict counters (all zero when the cache is
-    /// disabled). Verdict/template counters are fleet-wide; reply
-    /// counters aggregate every tenant's private tier.
+    /// disabled). Reply counters aggregate every tenant's private store;
+    /// the retired verdict/template counters always read zero.
     pub cache: CacheStats,
     /// Per-tenant rows, indexed by [`TenantId::index`].
     pub tenants: Vec<TenantSnapshot>,
@@ -255,8 +255,8 @@ pub struct SessionServer {
     /// Monotonic per-serve clock backing the warm-set LRU stamps.
     serve_clock: u64,
     queued_total: usize,
-    /// The fleet's shared command cache (`None` when disabled); tenants
-    /// receive [`CommandCache::tenant_view`]s of it at admission.
+    /// The fleet's command cache (`None` when disabled); tenants receive
+    /// [`CommandCache::tenant_view`]s of it at admission.
     cache: Option<CommandCache>,
 }
 
@@ -286,8 +286,8 @@ impl SessionServer {
     /// Admits a tenant: boots its isolated session with every containment
     /// knob from `cfg` fixed now ([`Session::tenant`]). When the server
     /// runs a command cache, the tenant receives its own
-    /// [`CommandCache::tenant_view`] (shared verdict/template tiers,
-    /// private reply tier) unless `cfg` already pinned one.
+    /// [`CommandCache::tenant_view`] (a private reply store feeding the
+    /// fleet counters) unless `cfg` already pinned one.
     pub fn admit(&mut self, mut cfg: TenantSessionConfig) -> TenantId {
         if cfg.cache.is_none() {
             cfg.cache = self.cache.as_ref().map(CommandCache::tenant_view);

@@ -191,9 +191,9 @@ fn gpu_repl(devices: usize) -> GpuRepl {
 }
 
 /// A pipelined CPU arm with the PR 8 structural-hash command cache
-/// enabled. The cache handle is passed in so arms can share verdict and
-/// template tiers through [`CommandCache::tenant_view`], the way the
-/// session server shares them across tenants.
+/// enabled. The cache handle is passed in so arms can take
+/// [`CommandCache::tenant_view`]s of one fleet cache, the way the session
+/// server hands them to tenants.
 fn repl_cached(cache: CommandCache) -> CpuRepl {
     CpuRepl::launch(
         intel_e5_2620(),
@@ -233,9 +233,9 @@ fn check_program(seed: u64) {
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
     let mut gpus: Vec<GpuRepl> = [1, 2, 4].map(gpu_repl).into_iter().collect();
-    // Cache arms (PR 8): one shared cache, tenant views per backend — the
-    // CPU and GPU arms share verdict/template tiers but keep private
-    // reply tiers, exactly like server tenants.
+    // Cache arms: one fleet cache, tenant views per backend — the
+    // CPU and GPU arms keep private reply stores and share only the
+    // fleet counters, exactly like server tenants.
     let shared_cache = CommandCache::new(CacheConfig::default());
     let mut cached = repl_cached(shared_cache.tenant_view());
     let mut cached_gpu = gpu_repl_cached(shared_cache.tenant_view());
