@@ -11,6 +11,7 @@ use crate::device::{DeviceKind, DeviceSpec};
 use crate::error::SimError;
 use crate::kernel::SectionReport;
 use crate::stats::SimStats;
+use crate::Machine;
 use std::collections::BinaryHeap;
 
 /// A running CPU "machine": the process hosting the interpreter plus its
@@ -47,8 +48,43 @@ impl CpuMachine {
         self.spec.sm_count as usize
     }
 
+    /// Elapsed main-thread cycles.
+    pub fn elapsed_cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// Elapsed main-thread time in nanoseconds.
+    pub fn elapsed_device_ns(&self) -> f64 {
+        self.spec.cycles_to_ns(self.cycles)
+    }
+
+    /// Setup/teardown overhead in nanoseconds.
+    pub fn overhead_ns(&self) -> u64 {
+        self.host_ns
+    }
+
+    /// Statistics so far.
+    pub fn stats(&self) -> SimStats {
+        self.stats
+    }
+
+    /// `true` until [`CpuMachine::shutdown`].
+    pub fn is_running(&self) -> bool {
+        self.running
+    }
+
+    /// Stops the pool and charges teardown.
+    pub fn shutdown(&mut self) {
+        if self.running {
+            self.host_ns += self.spec.teardown_ns;
+            self.running = false;
+        }
+    }
+}
+
+impl Machine for CpuMachine {
     /// Serial main-thread compute (parse/eval/print segments).
-    pub fn serial_compute(&mut self, cycles: u64) -> Result<(), SimError> {
+    fn serial_compute(&mut self, cycles: u64) -> Result<(), SimError> {
         if !self.running {
             return Err(SimError::KernelStopped);
         }
@@ -58,7 +94,7 @@ impl CpuMachine {
 
     /// Runs one `|||` section: list-schedules `job_cycles` onto the
     /// hardware threads and charges dispatch/collection per job.
-    pub fn parallel_section(&mut self, job_cycles: &[u64]) -> Result<SectionReport, SimError> {
+    fn parallel_section(&mut self, job_cycles: &[u64]) -> Result<SectionReport, SimError> {
         if !self.running {
             return Err(SimError::KernelStopped);
         }
@@ -93,39 +129,6 @@ impl CpuMachine {
         self.stats.distribution_rounds += report.rounds as u64;
         self.cycles += report.total_cycles();
         Ok(report)
-    }
-
-    /// Elapsed main-thread cycles.
-    pub fn elapsed_cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Elapsed main-thread time in nanoseconds.
-    pub fn elapsed_device_ns(&self) -> f64 {
-        self.spec.cycles_to_ns(self.cycles)
-    }
-
-    /// Setup/teardown overhead in nanoseconds.
-    pub fn overhead_ns(&self) -> u64 {
-        self.host_ns
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// `true` until [`CpuMachine::shutdown`].
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
-    /// Stops the pool and charges teardown.
-    pub fn shutdown(&mut self) {
-        if self.running {
-            self.host_ns += self.spec.teardown_ns;
-            self.running = false;
-        }
     }
 }
 

@@ -338,6 +338,17 @@ impl PersistentKernel {
     }
 }
 
+/// The master thread's serial compute is [`PersistentKernel::master_compute`].
+impl crate::Machine for PersistentKernel {
+    fn serial_compute(&mut self, cycles: u64) -> Result<(), SimError> {
+        self.master_compute(cycles)
+    }
+
+    fn parallel_section(&mut self, job_cycles: &[u64]) -> Result<SectionReport, SimError> {
+        PersistentKernel::parallel_section(self, job_cycles)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

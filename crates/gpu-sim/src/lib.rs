@@ -18,6 +18,10 @@
 //! What is *modelled*: time. Each device carries a calibrated cycle price
 //! per primitive operation ([`device::CostTable`]); phase durations are
 //! exact functions of exact operation counts.
+//!
+//! Both machines — the GPU's [`PersistentKernel`] and the CPU builds'
+//! [`CpuMachine`] — implement one two-method [`Machine`] trait, so the
+//! runtime prices every device through the same command lifecycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,3 +42,13 @@ pub use error::{LivelockCause, SimError};
 pub use kernel::{KernelConfig, PersistentKernel, SectionReport};
 pub use postbox::{JobSlot, Postbox, PostboxArray};
 pub use stats::SimStats;
+
+/// What a REPL charges to a modeled device: serial master-thread compute
+/// and `|||` sections. Counters are priced into cycles by the caller.
+pub trait Machine {
+    /// Serial master-thread compute (a parse, eval or print segment).
+    fn serial_compute(&mut self, cycles: u64) -> Result<(), SimError>;
+
+    /// Runs one `|||` section of `job_cycles` (one entry per job).
+    fn parallel_section(&mut self, job_cycles: &[u64]) -> Result<SectionReport, SimError>;
+}

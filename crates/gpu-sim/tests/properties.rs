@@ -1,7 +1,7 @@
 //! Property-based tests for the machine models.
 
 use culi_gpu_sim::device::{amd_6272, gtx1080, intel_e5_2620, tesla_c2075};
-use culi_gpu_sim::{CpuMachine, JobSlot, KernelConfig, PersistentKernel, PostboxArray};
+use culi_gpu_sim::{CpuMachine, JobSlot, KernelConfig, Machine, PersistentKernel, PostboxArray};
 use proptest::prelude::*;
 
 proptest! {

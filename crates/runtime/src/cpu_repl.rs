@@ -15,6 +15,13 @@
 //!   additionally *pipelines* a command stream through the pool's
 //!   double-buffered postboxes (see below).
 //!
+//! Both modes run every command through the one lifecycle in
+//! [`crate::phases`] that the GPU session runs too: parse, evaluate,
+//! print, reply. Only the `|||` hook differs: the shared modeled hook over
+//! the [`CpuMachine`], the persistent pool, or the master-side sequential
+//! reference that the scheduler's fallback and the session server's cold
+//! route use.
+//!
 //! # Pipelined command batches
 //!
 //! A synchronous `submit` pays one full postbox rendezvous per `|||`
@@ -45,15 +52,15 @@
 
 use crate::cache::{BatchCache, Classified, CommandCache};
 use crate::error::{Result, RuntimeError};
-use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
+use crate::phases::{eval_forms, CommandCounters, Evaluated, Master};
 use crate::pool::{ThreadedHook, WorkerPool};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
 use culi_core::cost::Counters;
-use culi_core::eval::{eval, ParallelHook};
+use culi_core::eval::ParallelHook;
 use culi_core::fault::FaultPlan;
 use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
-use culi_gpu_sim::{CpuMachine, DeviceSpec, SectionReport, SimError};
+use culi_gpu_sim::{CpuMachine, DeviceSpec};
 use std::time::Duration;
 
 /// How `|||` sections execute.
@@ -226,27 +233,11 @@ impl CpuRepl {
             return Err(RuntimeError::SessionClosed);
         }
         let wall_start = std::time::Instant::now();
-        let costs = self.spec().costs;
-
-        // --- Parse ------------------------------------------------------
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
-            Ok(forms) => forms,
-            Err(e) => {
-                return self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: parse_counters,
-                        ..Default::default()
-                    },
-                )
-            }
-        };
-        self.finish_submit(&forms, parse_counters, wall_start, reference)
+        let (parsed, parse) = self.master().parse(input)?;
+        match parsed {
+            Ok(forms) => self.finish_submit(&forms, parse, wall_start, reference),
+            Err(error) => Ok(self.master().fail(error, parse_only(parse))),
+        }
     }
 
     /// Evaluate-and-print half of [`CpuRepl::submit`], shared with the
@@ -255,127 +246,49 @@ impl CpuRepl {
     fn finish_submit(
         &mut self,
         forms: &[NodeId],
-        parse_counters: Counters,
+        parse: Counters,
         wall_start: std::time::Instant,
         reference: bool,
     ) -> Result<Reply> {
-        let costs = self.spec().costs;
-
-        // --- Evaluate -----------------------------------------------------
         // Containment: every command evaluates under the session's fuel
         // budget, armed fresh here (workers re-arm per job themselves).
         self.interp.meter.arm_fuel(self.config.interp.fuel_budget);
-        let m1 = self.interp.meter.snapshot();
-        // `master_jobs` is the slice of `job_counters` that was metered on
-        // the master interpreter (and must therefore be subtracted back out
-        // of its total): everything for the modeled backend and the
-        // sequential reference, only degraded-section fallbacks for the
-        // real-threads pool.
-        let (last, sections, job_counters, master_jobs, eval_error, sim_error) = if reference {
-            let mut hook = SequentialReferenceHook::default();
-            let (last, err) = eval_forms(&mut self.interp, &mut hook, forms);
-            (last, Vec::new(), hook.jobs, hook.jobs, err, None)
+        let evaluated = if !reference && self.config.mode == CpuMode::Modeled {
+            self.master().eval_modeled(forms, parse)?
         } else {
-            match self.config.mode {
-                CpuMode::Modeled => {
-                    let mut hook = CpuModelHook {
-                        machine: &mut self.machine,
-                        costs,
-                        job_counters: Counters::default(),
-                        sections: Vec::new(),
-                        sim_error: None,
-                        job_cycles: std::mem::take(&mut self.scratch_cycles),
-                    };
-                    let (last, err) = eval_forms(&mut self.interp, &mut hook, forms);
-                    self.scratch_cycles = hook.job_cycles;
-                    let jobs = hook.job_counters;
-                    (last, hook.sections, jobs, jobs, err, hook.sim_error)
-                }
-                CpuMode::Threaded { .. } => {
-                    // The hook (and its worker pool) persists across
-                    // commands: workers stay warm and are synchronized
-                    // incrementally.
-                    let hook = threaded_hook(&mut self.threaded, &self.config);
-                    let (last, err) = eval_forms(&mut self.interp, hook, forms);
-                    // Sections the hook degraded to the master (seat loss
-                    // mid-barrier) were metered on the master interpreter;
-                    // fold them into the job charges like any other section.
-                    let degraded = hook.take_degraded_jobs();
-                    let mut jobs = hook.take_job_counters();
-                    jobs.add(&degraded);
-                    (last, Vec::new(), jobs, degraded, err, None)
-                }
+            // `master_jobs` is the slice of `jobs` that was metered on the
+            // master interpreter (and must therefore be subtracted back out
+            // of its total): everything for the sequential reference, only
+            // degraded-section fallbacks for the real-threads pool.
+            let (value, total, jobs, master_jobs) = if reference {
+                let mut hook = SequentialReferenceHook::default();
+                let (value, total) = eval_forms(&mut self.interp, &mut hook, forms);
+                (value, total, hook.jobs, hook.jobs)
+            } else {
+                // The hook (and its worker pool) persists across commands:
+                // workers stay warm and are synchronized incrementally.
+                let hook = threaded_hook(&mut self.threaded, &self.config);
+                let (value, total) = eval_forms(&mut self.interp, hook, forms);
+                // Sections the hook degraded to the master (seat loss
+                // mid-barrier) were metered on the master interpreter;
+                // fold them into the job charges like any other section.
+                let degraded = hook.take_degraded_jobs();
+                let mut jobs = hook.take_job_counters();
+                jobs.add(&degraded);
+                (value, total, jobs, degraded)
+            };
+            Evaluated {
+                value,
+                counters: CommandCounters {
+                    parse,
+                    eval_master: total.delta_since(&master_jobs),
+                    jobs,
+                    print: Counters::default(),
+                },
+                sections: Vec::new(),
             }
         };
-        if let Some(sim) = sim_error {
-            return Err(RuntimeError::Device(sim));
-        }
-        let eval_total = self.interp.meter.snapshot().delta_since(&m1);
-        let eval_master = eval_total.delta_since(&master_jobs);
-        let dispatch_overhead = self.spec().command_overhead_cycles;
-        let section_cycles: u64 =
-            sections.iter().map(|s| s.total_cycles()).sum::<u64>() + dispatch_overhead;
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        if let Some(e) = eval_error {
-            return self.error_reply(
-                e,
-                CommandCounters {
-                    parse: parse_counters,
-                    eval_master,
-                    jobs: job_counters,
-                    ..Default::default()
-                },
-            );
-        }
-
-        // --- Print ---------------------------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let output = match last {
-            Some(node) => match culi_core::printer::print_to_string(&mut self.interp, node) {
-                Ok(s) => s,
-                Err(e) => {
-                    return self.error_reply(
-                        e,
-                        CommandCounters {
-                            parse: parse_counters,
-                            eval_master,
-                            jobs: job_counters,
-                            ..Default::default()
-                        },
-                    )
-                }
-            },
-            None => String::new(),
-        };
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &print_counters))?;
-
-        self.collect_garbage();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &parse_counters,
-            &eval_master,
-            &print_counters,
-            section_cycles,
-            0,
-        );
-        Ok(Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
-            counters: CommandCounters {
-                parse: parse_counters,
-                eval_master,
-                jobs: job_counters,
-                print: print_counters,
-            },
-            sections,
-            wall_ns: wall_start.elapsed().as_nanos() as u64,
-        })
+        self.finish(evaluated, wall_start)
     }
 
     /// Submits a stream of commands through the shared
@@ -437,137 +350,65 @@ impl CpuRepl {
             Err(e) => Err(e),
         };
         self.interp.put_node_buf(results);
-        let eval_collect = self.interp.meter.snapshot().delta_since(&m);
-        let job_counters = hook.take_job_counters();
-        self.finish_collected(cmd, finished, eval_collect, job_counters)
-    }
-
-    /// Back half of collecting one staged command: account the machine,
-    /// print, GC, build the reply — charge-identical to the synchronous
-    /// path's post-section work.
-    fn finish_collected(
-        &mut self,
-        cmd: PendingCommand,
-        finished: culi_core::Result<NodeId>,
-        eval_collect: Counters,
-        job_counters: Counters,
-    ) -> Result<(usize, Reply)> {
-        let costs = self.spec().costs;
-        let dispatch_overhead = self.spec().command_overhead_cycles;
         let mut eval_master = cmd.eval_stage;
-        eval_master.add(&eval_collect);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        let node = match finished {
-            Ok(node) => node,
-            Err(e) => {
-                if e.code() == ErrorCode::Device {
-                    // Infrastructure failure (seat lost to a panic, hang,
-                    // or garbled reply) — not a program error. Surface it
-                    // to the scheduler so it can degrade the batch to the
-                    // sequential fallback instead of replying.
-                    return Err(RuntimeError::Lisp(e));
-                }
-                let reply = self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: cmd.parse,
-                        eval_master,
-                        jobs: job_counters,
-                        ..Default::default()
-                    },
-                )?;
-                return Ok((cmd.slot, reply));
-            }
+        eval_master.add(&self.interp.meter.snapshot().delta_since(&m));
+        let jobs = hook.take_job_counters();
+        let value = match finished {
+            // Infrastructure failure (seat lost to a panic, hang, or
+            // garbled reply) — not a program error. Surface it to the
+            // scheduler, which re-runs the command on the sequential
+            // fallback (and charges it there) instead of replying.
+            Err(e) if e.code() == ErrorCode::Device => return Err(RuntimeError::Lisp(e)),
+            finished => finished.map(Some),
         };
-
-        // --- Print -------------------------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let printed = culi_core::printer::print_to_string(&mut self.interp, node);
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        let output = match printed {
-            Ok(s) => s,
-            Err(e) => {
-                let reply = self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: cmd.parse,
-                        eval_master,
-                        jobs: job_counters,
-                        ..Default::default()
-                    },
-                )?;
-                return Ok((cmd.slot, reply));
-            }
-        };
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &print_counters))?;
-        self.collect_garbage();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &cmd.parse,
-            &eval_master,
-            &print_counters,
-            dispatch_overhead,
-            0,
-        );
-        let reply = Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
+        let evaluated = Evaluated {
+            value,
             counters: CommandCounters {
                 parse: cmd.parse,
                 eval_master,
-                jobs: job_counters,
-                print: print_counters,
+                jobs,
+                print: Counters::default(),
             },
             sections: Vec::new(),
-            wall_ns: cmd.wall_start.elapsed().as_nanos() as u64,
         };
+        let reply = self.finish(evaluated, cmd.wall_start)?;
         self.batch_cache
             .store(self.config.cache.as_ref(), &self.interp, cmd.slot, &reply);
         Ok((cmd.slot, reply))
     }
 
-    /// Between-command collection, keeping staged-but-uncollected batch
-    /// state (job trees, a barrier's parse forms) alive.
-    fn collect_garbage(&mut self) {
-        if self.barrier_roots.is_empty() {
-            culi_core::gc::collect(&mut self.interp, &self.batch_roots);
-        } else if self.batch_roots.is_empty() {
-            culi_core::gc::collect(&mut self.interp, &self.barrier_roots);
-        } else {
-            let mut roots = std::mem::take(&mut self.gc_scratch);
-            roots.clear();
-            roots.extend_from_slice(&self.batch_roots);
-            roots.extend_from_slice(&self.barrier_roots);
-            culi_core::gc::collect(&mut self.interp, &roots);
-            self.gc_scratch = roots;
+    /// The shared tail ([`Master::finish`]); successes carry their
+    /// wall-clock time.
+    fn finish(&mut self, evaluated: Evaluated, wall_start: std::time::Instant) -> Result<Reply> {
+        let overhead = self.spec().command_overhead_cycles;
+        let mut reply = self.master().finish(evaluated, overhead)?;
+        if reply.ok {
+            reply.wall_ns = wall_start.elapsed().as_nanos() as u64;
         }
+        Ok(reply)
     }
 
-    fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Result<Reply> {
-        self.collect_garbage();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &counters.parse,
-            &counters.eval_master,
-            &counters.print,
-            0,
-            0,
-        );
-        Ok(Reply {
-            output: format!("error: {e}"),
-            ok: false,
-            code: e.code(),
-            phases,
-            counters,
-            sections: Vec::new(),
-            wall_ns: 0,
-        })
+    /// The session's master for the shared lifecycle. Its GC roots are
+    /// the staged-but-uncollected job trees and a drained barrier's parse
+    /// forms.
+    fn master(&mut self) -> Master<'_> {
+        let gc_roots: &[NodeId] = if self.barrier_roots.is_empty() {
+            &self.batch_roots
+        } else if self.batch_roots.is_empty() {
+            &self.barrier_roots
+        } else {
+            self.gc_scratch.clear();
+            self.gc_scratch.extend_from_slice(&self.batch_roots);
+            self.gc_scratch.extend_from_slice(&self.barrier_roots);
+            &self.gc_scratch
+        };
+        Master {
+            spec: *self.machine.spec(),
+            interp: &mut self.interp,
+            machine: &mut self.machine,
+            gc_roots,
+            job_cycles: &mut self.scratch_cycles,
+        }
     }
 
     /// Stops the worker pool; returns total setup+teardown in ms.
@@ -651,14 +492,9 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         slot: usize,
     ) -> Result<Verdict<CpuStaged, CpuBarrier>> {
         let wall_start = std::time::Instant::now();
-        let costs = self.spec().costs;
         // --- Parse (overlaps in-flight runs) -----------------------------
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
+        let (parsed, parse_counters) = self.master().parse(input)?;
+        let forms = match parsed {
             Ok(forms) => forms,
             Err(e) => {
                 return Ok(Verdict::Barrier(CpuBarrier::ParseError {
@@ -682,7 +518,8 @@ impl<'i> ExecQueue<'i> for CpuRepl {
                 // fresh. The probe's parse temporaries are garbage now —
                 // collect them as any finished command would.
                 reply.wall_ns = wall_start.elapsed().as_nanos() as u64;
-                self.collect_garbage();
+                let master = self.master();
+                culi_core::gc::collect(master.interp, master.gc_roots);
                 return Ok(Verdict::Done(reply));
             }
             Classified::Stageable(false) => {
@@ -792,29 +629,22 @@ impl<'i> ExecQueue<'i> for CpuRepl {
                     .store(self.config.cache.as_ref(), &self.interp, slot, &reply);
                 reply
             }
-            CpuBarrier::ParseError { error, parse } => self.error_reply(
-                error,
-                CommandCounters {
-                    parse,
-                    ..Default::default()
-                },
-            )?,
+            CpuBarrier::ParseError { error, parse } => self.master().fail(error, parse_only(parse)),
             CpuBarrier::StageError {
                 error,
                 parse,
                 eval_stage,
             } => {
-                let costs = self.spec().costs;
-                self.machine
-                    .serial_compute(counters_to_cycles(&costs, &eval_stage))?;
-                self.error_reply(
-                    error,
-                    CommandCounters {
-                        parse,
+                // A failed evaluation, charged without the dispatch overhead.
+                let evaluated = Evaluated {
+                    value: Err(error),
+                    counters: CommandCounters {
                         eval_master: eval_stage,
-                        ..Default::default()
+                        ..parse_only(parse)
                     },
-                )?
+                    sections: Vec::new(),
+                };
+                self.master().finish(evaluated, 0)?
             }
         };
         replies[slot] = Some(reply);
@@ -857,19 +687,12 @@ fn threaded_hook<'h>(
     })
 }
 
-fn eval_forms(
-    interp: &mut Interp,
-    hook: &mut dyn ParallelHook,
-    forms: &[NodeId],
-) -> (Option<NodeId>, Option<CuliError>) {
-    let mut last = None;
-    for &form in forms {
-        match eval(interp, hook, form, interp.global, 0) {
-            Ok(v) => last = Some(v),
-            Err(e) => return (last, Some(e)),
-        }
+/// The counters of a command that failed to parse.
+fn parse_only(parse: Counters) -> CommandCounters {
+    CommandCounters {
+        parse,
+        ..Default::default()
     }
-    (last, None)
 }
 
 /// The scheduler-fallback backend: evaluates `|||` jobs sequentially on
@@ -899,70 +722,6 @@ impl ParallelHook for SequentialReferenceHook {
             results,
             &mut self.jobs,
         )
-    }
-}
-
-/// Modeled pthread pool: job costs are list-scheduled by the machine.
-/// `job_cycles` is lent by the repl and reused across sections and
-/// commands, so modeled sections allocate nothing per section beyond
-/// their report.
-struct CpuModelHook<'m> {
-    machine: &'m mut CpuMachine,
-    costs: culi_gpu_sim::CostTable,
-    job_counters: Counters,
-    sections: Vec<SectionReport>,
-    sim_error: Option<SimError>,
-    job_cycles: Vec<u64>,
-}
-
-impl ParallelHook for CpuModelHook<'_> {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: culi_core::EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        // Swap the pooled buffer out for the duration of this section: a
-        // *nested* ||| inside a job re-enters execute and must not clobber
-        // the outer section's cycles (the nested level simply starts from
-        // a fresh buffer, as the pre-pooling code did per section).
-        let mut cycles = std::mem::take(&mut self.job_cycles);
-        cycles.clear();
-        for (w, &job) in jobs.iter().enumerate() {
-            let env = interp.envs.push(Some(parent_env));
-            let before = interp.meter.snapshot();
-            let nested_before = self.job_counters;
-            let value = match eval(interp, self, job, env, 0) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.job_cycles = cycles;
-                    return Err(CuliError::WorkerFailed {
-                        worker: w,
-                        message: e.to_string(),
-                    });
-                }
-            };
-            let delta = interp.meter.snapshot().delta_since(&before);
-            let nested = self.job_counters.delta_since(&nested_before);
-            let own = delta.delta_since(&nested);
-            self.job_counters.add(&own);
-            cycles.push(crate::phases::counters_to_cycles(&self.costs, &own));
-            results.push(value);
-        }
-        let outcome = self.machine.parallel_section(&cycles);
-        self.job_cycles = cycles;
-        match outcome {
-            Ok(report) => {
-                self.sections.push(report);
-                Ok(())
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                self.sim_error = Some(e);
-                Err(CuliError::Backend(msg))
-            }
-        }
     }
 }
 

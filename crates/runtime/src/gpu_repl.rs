@@ -9,7 +9,11 @@
 //! operation the interpreter counts is priced by the device's cost table,
 //! master-serial work advances the kernel clock, and parallel sections go
 //! through the simulated Algorithm-1 choreography (which is where the
-//! warp-livelock ablations bite).
+//! warp-livelock ablations bite). The master's parse → eval → print →
+//! reply lifecycle and the modeled `|||` hook are the ones every backend
+//! shares ([`crate::phases`]), run over the kernel's
+//! [`culi_gpu_sim::Machine`] implementation; this module owns what is
+//! GPU-specific: the command-buffer handshake, transfer time and sharding.
 //!
 //! # Multi-device sharding
 //!
@@ -36,17 +40,13 @@
 
 use crate::cache::{BatchCache, Classified, CommandCache};
 use crate::error::{Result, RuntimeError};
-use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
+use crate::phases::{CommandCounters, Master};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
-use culi_core::cost::Counters;
-use culi_core::eval::{eval, ParallelHook};
 use culi_core::fault::{FaultPlan, FaultSite};
-use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
+use culi_core::{ErrorCode, Interp, InterpConfig};
 use culi_gpu_sim::cmdbuf::CommandBuffer;
-use culi_gpu_sim::{
-    CostTable, DeviceSpec, KernelConfig, PersistentKernel, SectionReport, SimError, SimStats,
-};
+use culi_gpu_sim::{DeviceSpec, KernelConfig, PersistentKernel, SimError, SimStats};
 
 /// Configuration for a GPU session.
 #[derive(Debug, Clone)]
@@ -240,170 +240,43 @@ impl GpuRepl {
     pub const HANDSHAKE_RETRIES: usize = 2;
 
     /// Parse/evaluate/print one already-uploaded command on device
-    /// `dev`'s master thread, charging `dispatch_overhead` extra cycles
-    /// for the REPL spin-wake. Produces a [`Reply`] with
-    /// `transfer_ns == 0` — the caller owns the handshake and attributes
-    /// transfer time. Lisp-level errors become `ok == false` replies;
-    /// device-level failures are [`RuntimeError`]s.
+    /// `dev`'s master thread through the shared lifecycle
+    /// ([`crate::phases`]), charging `dispatch_overhead` extra cycles for
+    /// the REPL spin-wake (batched runs pay it once, on their first
+    /// command). Produces a [`Reply`] with `transfer_ns == 0` — the caller
+    /// owns the handshake and attributes transfer time. Lisp-level errors
+    /// become `ok == false` replies; device-level failures are
+    /// [`RuntimeError`]s.
     fn process_command(
         &mut self,
         dev: usize,
         input: &str,
         dispatch_overhead: u64,
     ) -> Result<Reply> {
-        let costs = self.spec_costs();
         // Containment is per command: each command gets the session's full
         // fuel budget, so the paper-model counters stay valid up to an
         // abort and one runaway command cannot starve the next.
         self.interp.meter.arm_fuel(self.config.interp.fuel_budget);
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
-            Ok(forms) => forms,
-            Err(e) => {
-                return Ok(self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: parse_counters,
-                        ..Default::default()
-                    },
-                ));
-            }
+        let mut master = Master {
+            spec: self.spec(),
+            interp: &mut self.interp,
+            machine: &mut self.devices[dev].kernel,
+            gc_roots: &[],
+            job_cycles: &mut self.scratch_cycles,
         };
-
-        // --- Evaluate (master + workers) --------------------------------
-        let m1 = self.interp.meter.snapshot();
-        let global = self.interp.global;
-        let mut hook = GpuHook {
-            kernel: &mut self.devices[dev].kernel,
-            costs,
-            job_counters: Counters::default(),
-            sections: Vec::new(),
-            sim_error: None,
-            job_cycles: std::mem::take(&mut self.scratch_cycles),
-        };
-        let mut last: Option<NodeId> = None;
-        let mut eval_error: Option<CuliError> = None;
-        for form in forms {
-            match eval(&mut self.interp, &mut hook, form, global, 0) {
-                Ok(v) => last = Some(v),
-                Err(e) => {
-                    eval_error = Some(e);
-                    break;
-                }
+        let (parsed, parse) = master.parse(input)?;
+        match parsed {
+            Ok(forms) => {
+                let evaluated = master.eval_modeled(&forms, parse)?;
+                master.finish(evaluated, dispatch_overhead)
             }
-        }
-        self.scratch_cycles = hook.job_cycles;
-        let sections = hook.sections;
-        let job_counters = hook.job_counters;
-        if let Some(sim) = hook.sim_error {
-            return Err(RuntimeError::Device(sim));
-        }
-        let eval_total = self.interp.meter.snapshot().delta_since(&m1);
-        // Master-side evaluation work excludes what the workers executed
-        // (that time lives inside the sections' execute phase). The REPL
-        // dispatch overhead (spin wake, loop re-entry, signalling) is
-        // charged here too — the paper folds all device time into the
-        // three phases; batched runs pay it once, on their first command.
-        let eval_master = eval_total.delta_since(&job_counters);
-        let section_cycles: u64 =
-            sections.iter().map(|s| s.total_cycles()).sum::<u64>() + dispatch_overhead;
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        if let Some(e) = eval_error {
-            return Ok(self.error_reply(
+            Err(e) => Ok(master.fail(
                 e,
                 CommandCounters {
-                    parse: parse_counters,
-                    eval_master,
-                    jobs: job_counters,
+                    parse,
                     ..Default::default()
                 },
-            ));
-        }
-
-        // --- Print (master thread) ---------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let output = match last {
-            Some(node) => match culi_core::printer::print_to_string(&mut self.interp, node) {
-                Ok(s) => s,
-                Err(e) => {
-                    let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-                    return Ok(self.error_reply(
-                        e,
-                        CommandCounters {
-                            parse: parse_counters,
-                            eval_master,
-                            jobs: job_counters,
-                            print: print_counters,
-                        },
-                    ));
-                }
-            },
-            None => String::new(),
-        };
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &print_counters))?;
-
-        culi_core::gc::collect(&mut self.interp, &[]);
-
-        let phases = breakdown(
-            &self.spec(),
-            &parse_counters,
-            &eval_master,
-            &print_counters,
-            section_cycles,
-            0,
-        );
-        Ok(Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
-            counters: CommandCounters {
-                parse: parse_counters,
-                eval_master,
-                jobs: job_counters,
-                print: print_counters,
-            },
-            sections,
-            wall_ns: 0,
-        })
-    }
-
-    fn spec_costs(&self) -> CostTable {
-        self.devices[0].kernel.spec().costs
-    }
-
-    /// Renders a Lisp error as a printed reply (the REPL survives). The
-    /// caller owns the command-buffer handshake and transfer attribution.
-    fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Reply {
-        let code = e.code();
-        let output = format!("error: {e}");
-        culi_core::gc::collect(&mut self.interp, &[]);
-        let phases = breakdown(
-            &self.spec(),
-            &counters.parse,
-            &counters.eval_master,
-            &counters.print,
-            0,
-            0,
-        );
-        Reply {
-            output,
-            ok: false,
-            code,
-            phases,
-            counters,
-            sections: Vec::new(),
-            wall_ns: 0,
+            )),
         }
     }
 
@@ -656,72 +529,6 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         }
         replies[slot] = Some(reply);
         Ok(())
-    }
-}
-
-/// The `|||` backend bridging the interpreter to one device's simulated
-/// kernel. `job_cycles` is lent by the repl and reused across sections
-/// and commands.
-struct GpuHook<'k> {
-    kernel: &'k mut PersistentKernel,
-    costs: CostTable,
-    /// All counters consumed inside worker jobs (for master/worker cost
-    /// separation).
-    job_counters: Counters,
-    sections: Vec<SectionReport>,
-    sim_error: Option<SimError>,
-    job_cycles: Vec<u64>,
-}
-
-impl ParallelHook for GpuHook<'_> {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: culi_core::EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        // Swap the pooled buffer out for this section: a nested ||| inside
-        // a job re-enters execute and must not clobber the outer section's
-        // cycles (the nested level starts from a fresh buffer instead).
-        let mut cycles = std::mem::take(&mut self.job_cycles);
-        cycles.clear();
-        for (w, &job) in jobs.iter().enumerate() {
-            let env = interp.envs.push(Some(parent_env));
-            let before = interp.meter.snapshot();
-            let nested_before = self.job_counters;
-            let value = match eval(interp, self, job, env, 0) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.job_cycles = cycles;
-                    return Err(CuliError::WorkerFailed {
-                        worker: w,
-                        message: e.to_string(),
-                    });
-                }
-            };
-            let delta = interp.meter.snapshot().delta_since(&before);
-            // A nested ||| inside this job already accounted its own
-            // workers; bill only this job's own operations.
-            let nested = self.job_counters.delta_since(&nested_before);
-            let own = delta.delta_since(&nested);
-            self.job_counters.add(&own);
-            cycles.push(counters_to_cycles(&self.costs, &own));
-            results.push(value);
-        }
-        let outcome = self.kernel.parallel_section(&cycles);
-        self.job_cycles = cycles;
-        match outcome {
-            Ok(report) => {
-                self.sections.push(report);
-                Ok(())
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                self.sim_error = Some(e);
-                Err(CuliError::Backend(msg))
-            }
-        }
     }
 }
 

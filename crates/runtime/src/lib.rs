@@ -21,7 +21,10 @@
 //!   admission (deficit round-robin), structured backpressure, per-tenant
 //!   containment/quarantine and LRU warm-fork eviction over many
 //!   concurrent sessions.
-//! * [`phases`] — operation counts → cycles → per-phase milliseconds.
+//! * [`phases`] — the one command lifecycle (parse → eval → print →
+//!   reply) every backend runs over the two-method
+//!   [`culi_gpu_sim::Machine`] trait, and operation counts → cycles →
+//!   per-phase milliseconds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1401,17 +1401,11 @@ impl ParallelHook for ThreadedHook {
         parent_env: EnvId,
         results: &mut Vec<NodeId>,
     ) -> culi_core::Result<()> {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::launch_with(
-                interp,
-                self.threads,
-                self.reply_deadline,
-                self.fault_plan.clone(),
-            ));
-        }
         let base = results.len();
-        let pool = self.pool.as_mut().expect("pool just ensured");
-        match pool.execute(interp, jobs, parent_env, results) {
+        match self
+            .pool_mut(interp)
+            .execute(interp, jobs, parent_env, results)
+        {
             Err(e) if e.code() == ErrorCode::Device => {
                 // A seat was written off mid-section (the pool has
                 // already relaunched it). The workers' partial results

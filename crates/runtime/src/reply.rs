@@ -27,10 +27,12 @@ pub struct Reply {
     /// model; the real-threads backend reports only master-side phases).
     pub phases: PhaseBreakdown,
     /// Raw paper-model operation counters behind `phases`, split by
-    /// phase and by master-vs-worker. Backend-independent for successful
-    /// commands (the differential harness asserts it); error commands
-    /// stop at backend-dependent points, so only `parse` is comparable
-    /// there.
+    /// phase and by master-vs-worker. Backend-independent (the
+    /// differential harness asserts it), failed commands included: every
+    /// backend keeps the work metered up to the failure. The one
+    /// exception is a worker-side job failure on the real-threads pool,
+    /// where chunks on other seats run past the failing job, so only
+    /// `parse` is comparable there.
     pub counters: CommandCounters,
     /// One report per `|||` section the command executed (modeled
     /// backends only).

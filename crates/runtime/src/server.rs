@@ -1,11 +1,11 @@
 //! Multi-tenant session server: fair-share admission over the shared
 //! runtime, with structured backpressure and noisy-neighbor quarantine.
 //!
-//! Everything below PR 7 drives a single [`Session`]; the paper's north
-//! star — *"serving heavy lisp traffic from millions of users"* — needs
-//! the multiplexing layer above the [`crate::scheduler::BatchScheduler`]:
-//! many tenants, each with its **own** interpreter/environment/sync
-//! state, sharing one host. [`SessionServer`] is that layer.
+//! Everything below this layer drives a single [`Session`]. Serving many
+//! tenants needs the multiplexing layer above the
+//! [`crate::scheduler::BatchScheduler`]: many tenants, each with its
+//! **own** interpreter/environment/sync state, sharing one host.
+//! [`SessionServer`] is that layer.
 //!
 //! # Fairness contract
 //!

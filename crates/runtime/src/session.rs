@@ -215,9 +215,10 @@ impl Session {
     }
 
     /// Submits a stream of commands through the shared
-    /// [`culi_runtime_scheduler`]: every backend classifies each command
-    /// with the conservative effect analysis in [`culi_core::effects`]
-    /// and coalesces maximal runs of stageable `|||` commands.
+    /// [`BatchScheduler`](crate::scheduler::BatchScheduler): every backend
+    /// classifies each command with the conservative effect analysis in
+    /// [`culi_core::effects`] and coalesces maximal runs of stageable
+    /// `|||` commands.
     /// Real-threads CPU sessions pipeline them through the worker pool's
     /// double-buffered postboxes ([`CpuRepl::submit_batch`]); GPU
     /// sessions batch them into shared command buffers with one
@@ -225,8 +226,6 @@ impl Session {
     /// simulated devices ([`GpuRepl::submit_batch`]); modeled CPU
     /// sessions run the commands one by one.
     /// Replies always come back in input order and match a `submit` loop.
-    ///
-    /// [`culi_runtime_scheduler`]: crate::scheduler::BatchScheduler
     pub fn submit_batch(&mut self, inputs: &[&str]) -> Result<Vec<Reply>> {
         match self {
             Self::Gpu(r) => r.submit_batch(inputs),

@@ -71,6 +71,57 @@ fn output_buffer_overflow_is_a_printed_error() {
 }
 
 #[test]
+fn print_overflow_reports_the_same_counters_on_every_route() {
+    // A print that overruns the output buffer fails after metered print
+    // work; every route keeps that work in the reply's counters and phases.
+    let interp = InterpConfig {
+        output_capacity: 64,
+        ..Default::default()
+    };
+    let cpu = |mode| {
+        let cfg = CpuReplConfig {
+            interp: interp.clone(),
+            mode,
+            ..Default::default()
+        };
+        CpuRepl::launch(device::intel_e5_2620(), cfg)
+    };
+    let input = format!("(list {})", vec!["7"; 200].join(" "));
+    let mut gpu = GpuRepl::launch(
+        device::tesla_m40(),
+        GpuReplConfig {
+            interp: interp.clone(),
+            ..Default::default()
+        },
+    );
+    let gpu_reply = gpu.submit(&input).unwrap();
+    let modeled = cpu(CpuMode::Modeled).submit(&input).unwrap();
+    let threaded = cpu(CpuMode::Threaded { threads: 2 })
+        .submit(&input)
+        .unwrap();
+    let batched = cpu(CpuMode::Threaded { threads: 2 })
+        .submit_batch(&[input.as_str()])
+        .unwrap()
+        .remove(0);
+    assert_eq!(modeled.code, culi::core::ErrorCode::Limit);
+    assert!(modeled.counters.print.output_bytes > 0, "{modeled:?}");
+    for (name, reply) in [
+        ("gpu", &gpu_reply),
+        ("threaded", &threaded),
+        ("batched", &batched),
+    ] {
+        assert_eq!(reply.code, modeled.code, "{name}");
+        assert_eq!(reply.counters, modeled.counters, "{name}");
+    }
+    // CPU routes price on the same device, so their phases match exactly.
+    assert!(modeled.phases.print_cycles > 0);
+    assert_eq!(threaded.phases, modeled.phases);
+    assert_eq!(batched.phases, modeled.phases);
+    let gpu_print = culi::runtime::counters_to_cycles(&gpu.spec().costs, &gpu_reply.counters.print);
+    assert_eq!(gpu_reply.phases.print_cycles, gpu_print);
+}
+
+#[test]
 fn reply_exceeding_the_command_buffer_is_a_device_error() {
     // Misconfiguration: the interpreter's output fits its own buffer but
     // not the shared command buffer — a protocol violation, not a Lisp
