@@ -3,7 +3,7 @@
 //!
 //! The offline build environment cannot resolve `serde`/`serde_json`, and
 //! the only serialization this crate needs is pretty-printing flat rows of
-//! figures data plus reading committed baseline files back for the CI
+//! figures data plus reading the committed `BENCH_gate.json` back for the
 //! bench-regression gate, so two ~hundred-line value types cover it.
 //! Field order in objects is preserved (it mirrors struct declaration
 //! order, like serde's derive would). [`Json`] emits with `&'static`

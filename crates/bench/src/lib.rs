@@ -4,7 +4,9 @@
 //! reruns every figure of the evaluation on the simulated devices and
 //! renders the same rows/series the paper reports. The `figures` binary is
 //! the command-line entry point; the Criterion benches under `benches/`
-//! measure the real-machine cost of the simulator and interpreter.
+//! measure the real-machine cost of the simulator and interpreter. The
+//! `gate` binary re-measures every gated performance claim of the runtime
+//! and checks it against the committed `BENCH_gate.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

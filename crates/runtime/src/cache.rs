@@ -33,8 +33,8 @@
 //!   probe took the lock, compared canonical bytes and copied the words
 //!   and texts out.
 //!
-//! Without them the cost of probing a cache that never hits (`bench_pr8`
-//! pure-miss overhead, cached ÷ uncached on an all-distinct stream) fell
+//! Without them the cost of probing a cache that never hits (the bench
+//! gate's `miss_overhead`, cached ÷ uncached on an all-distinct stream) fell
 //! from 1.67–1.74× to 1.08–1.24× (five runs each on a 2-core x86-64
 //! machine), with replies, meter charges and reply hits unchanged. [`CacheStats::verdict`] and [`CacheStats::template`]
 //! are retired: they remain for callers that read them and always read

@@ -68,9 +68,9 @@
 //! persistent environments in place — structure-faithful, no clone. The
 //! same snapshot repairs seats whose incremental replay window would be
 //! larger than the live environment (cold seats behind thousands of
-//! defines; the crossover is count-based, measured by `bench_pr3`'s
-//! `sync/` rows) and seats older than the log's compaction frontier
-//! ([`culi_core::env::EnvArena::sync_replay_faithful_since`]).
+//! defines; the crossover is count-based, measured by the `sync/` rows
+//! of `BENCH_pr3.json`) and seats older than the log's compaction
+//! frontier ([`culi_core::env::EnvArena::sync_replay_faithful_since`]).
 //!
 //! A **dirty** worker refuses any already-queued plain section (its state
 //! has diverged from every master epoch) and the master re-arms the
@@ -138,10 +138,10 @@ const RETAINED_MSG_BYTES: usize = 64 * 1024;
 /// Extra replay records tolerated before a snapshot becomes cheaper than
 /// incremental sync. Replay and snapshot records cost within a few
 /// percent of each other to encode/apply (both are one flat value tree
-/// plus one define/set; `bench_pr3`'s `sync/` rows measure both), so the
-/// crossover is essentially the record *counts*; the slack absorbs the
-/// snapshot's fixed cost of resetting and rebuilding the environment
-/// list.
+/// plus one define/set; the `sync/` rows of `BENCH_pr3.json` measure
+/// both), so the crossover is essentially the record *counts*; the slack
+/// absorbs the snapshot's fixed cost of resetting and rebuilding the
+/// environment list.
 const SNAPSHOT_SLACK_RECORDS: usize = 16;
 
 /// A bounded FIFO rendezvous mailbox: `put` blocks while all
